@@ -14,6 +14,10 @@ store hit -> load -> mean + std + three quantiles from
 orders of magnitude (>= 50x asserted) faster than the cold build, and
 the second ``ensure_surrogate`` call performs *zero* deterministic
 solves — the instrumented solver count stays at 0.
+
+The cold build's sparse LU count and DC Newton iteration total, read
+from the solver's own counters, are recorded as exact integers, so a
+change in how many factorizations a build pays is a gated change.
 """
 
 import statistics
@@ -46,6 +50,18 @@ def solve_counter(monkeypatch):
     return counter
 
 
+def _solver_totals():
+    """(sparse LUs, DC Newton iterations) this process has counted."""
+    from repro.obs.metrics import REGISTRY
+
+    factorizations = REGISTRY.counter(
+        "repro_solver_factorizations_total").total()
+    newton = REGISTRY.histogram("repro_solver_newton_iterations")
+    iterations = sum(sample["sum"]
+                     for sample in newton.snapshot()["samples"])
+    return int(factorizations), int(iterations)
+
+
 def _serving_spec(profile):
     cfg = profile["serving"]
     # Group names depend on the facet layout; probe the problem once
@@ -68,9 +84,13 @@ def test_warm_query_vs_cold_build(profile, output_dir, tmp_path,
     store = SurrogateStore(tmp_path / "store")
     samples = profile["serving"]["query_samples"]
 
+    lus_before, newton_before = _solver_totals()
     start = time.perf_counter()
     cold = ensure_surrogate(spec, store)
     cold_time = time.perf_counter() - start
+    lus_after, newton_after = _solver_totals()
+    cold_lus = lus_after - lus_before
+    cold_newton = newton_after - newton_before
     assert cold.built
     cold_solves = solve_counter["count"]
     assert cold_solves == cold.num_solves > 0
@@ -100,6 +120,8 @@ def test_warm_query_vs_cold_build(profile, output_dir, tmp_path,
         ("reduced dim d", str(sum(g["reduced_size"]
                                   for g in cold.record.reduction))),
         ("cold build solves", str(cold_solves)),
+        ("cold build LU factorizations", str(cold_lus)),
+        ("cold build DC Newton iterations", str(cold_newton)),
         ("cold build [s]", f"{cold_time:.3f}"),
         ("warm solves", "0"),
         (f"warm query [s] (mean/std/q x {samples} samples)",
@@ -114,6 +136,8 @@ def test_warm_query_vs_cold_build(profile, output_dir, tmp_path,
                                              "store vs cold build"))
     write_bench_json(output_dir, "serving", {
         "cold_build_solves": int(cold_solves),
+        "cold_build_factorizations": cold_lus,
+        "cold_build_newton_iterations": cold_newton,
         "wall_time_cold_s": cold_time,
         "wall_time_warm_s": warm_time,
         "speedup": speedup,

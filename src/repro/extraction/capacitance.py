@@ -53,9 +53,15 @@ def conductor_labels(structure: Structure, links: LinkSet) -> np.ndarray:
 
 
 def conductor_mask_for_contact(structure: Structure, links: LinkSet,
-                               contact: str) -> np.ndarray:
-    """Boolean mask of the conductor containing ``contact``."""
-    labels = conductor_labels(structure, links)
+                               contact: str,
+                               labels: np.ndarray = None) -> np.ndarray:
+    """Boolean mask of the conductor containing ``contact``.
+
+    ``labels`` may pass a precomputed :func:`conductor_labels` result
+    so a caller resolving several contacts labels the conductors once.
+    """
+    if labels is None:
+        labels = conductor_labels(structure, links)
     ids = structure.contact_node_ids(contact)
     contact_labels = np.unique(labels[ids])
     contact_labels = contact_labels[contact_labels >= 0]
@@ -111,8 +117,10 @@ def capacitance_column(solution: ACSolution, driven_contact: str,
             f"nonzero voltage in the solution")
     if contacts is None:
         contacts = sorted(structure.contacts)
+    labels = conductor_labels(structure, links)
     column = {}
     for name in contacts:
-        mask = conductor_mask_for_contact(structure, links, name)
+        mask = conductor_mask_for_contact(structure, links, name,
+                                          labels=labels)
         column[name] = conductor_charge(solution, mask) / drive
     return column

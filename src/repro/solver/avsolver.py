@@ -14,6 +14,12 @@ passes, repeated QoI extractions — therefore skip the Newton
 equilibrium, the 3N x 3N assembly and the factorization entirely;
 :meth:`AVSolver.solve_ports` solves all port drives as one multi-RHS
 pass.
+
+The nominal equilibrium is solved once (from the charge-neutral guess)
+and kept: every perturbed sample's Newton iteration starts from it.
+Seeding from the nominal only, never from the previous sample, keeps
+each sample a pure function of its inputs, so results do not depend
+on evaluation order, chunking or worker count.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from repro.mesh.perturbed import PerturbedGrid
 from repro.solver.ac import ACSolution, ACSystem
 from repro.solver.ampere import AmpereSystem, staggered_correction
 from repro.solver.backends import resolve_backend
-from repro.solver.dc import solve_equilibrium
+from repro.solver.dc import EquilibriumState, solve_equilibrium
 
 
 class AVSolver:
@@ -80,6 +86,7 @@ class AVSolver:
         # objects (sweeps, per-port drives, full-wave passes) reuses the
         # equilibrium, the assembly and the cached factorizations.
         self._sample_cache = None
+        self._nominal_equilibrium = None
 
     # ------------------------------------------------------------------
     @property
@@ -89,6 +96,13 @@ class AVSolver:
             self._nominal_geometry = compute_geometry(
                 self.structure.grid, links=self.links)
         return self._nominal_geometry
+
+    def nominal_equilibrium(self) -> EquilibriumState:
+        """DC equilibrium of the unperturbed sample (solved once)."""
+        if self._nominal_equilibrium is None:
+            self._nominal_equilibrium = solve_equilibrium(
+                self.structure, self.nominal_geometry)
+        return self._nominal_equilibrium
 
     def geometry_for(self, sample) -> GridGeometry:
         """Resolve a geometry argument.
@@ -121,8 +135,13 @@ class AVSolver:
                 and cached[1] is doping_profile):
             return cached[2]
         grid_geometry = self.geometry_for(geometry)
-        equilibrium = solve_equilibrium(
-            self.structure, grid_geometry, doping_profile=doping_profile)
+        if geometry is None and doping_profile is None:
+            equilibrium = self.nominal_equilibrium()
+        else:
+            equilibrium = solve_equilibrium(
+                self.structure, grid_geometry,
+                doping_profile=doping_profile,
+                initial_guess=self.nominal_equilibrium())
         system = ACSystem(self.structure, grid_geometry, equilibrium,
                           self.frequency,
                           recombination=self.recombination,

@@ -45,7 +45,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from repro.errors import SingularSystemError, SolverBackendError
@@ -218,7 +217,7 @@ class KrylovBackend(SolverBackend):
 
     name = "krylov"
 
-    def __init__(self, config: SolverConfig = None):
+    def __init__(self, config: SolverConfig = None, metered: bool = True):
         super().__init__(config if config is not None
                          else SolverConfig(backend="krylov"))
         if self.config.backend != self.name:
@@ -226,22 +225,37 @@ class KrylovBackend(SolverBackend):
                 f"config names backend {self.config.backend!r}, "
                 f"expected {self.name!r}")
         self._seeds = {}
+        #: ``False`` keeps this instance off the backend-labelled
+        #: metrics: an internal inner solver (the DC Newton loop) must
+        #: not show up as ``krylov`` traffic on an ``lu`` build.
+        self.metered = metered
+        #: Direct LUs this instance built because a warm solve failed
+        #: certification.
+        self.fallbacks = 0
 
     def factorize(self, matrix, key=None):
         """LU when cold, seed-preconditioned Krylov factor when warm."""
         matrix = matrix.tocsr()
         seed = self._seeds.get(key) if key is not None else None
         if seed is None or seed.shape != matrix.shape:
-            factor = SparseFactor(matrix)
-            _BACKEND_FACTORIZATIONS.inc(backend=self.name)
+            factor = self._direct_factor(matrix)
             if key is not None:
                 self._seeds[key] = factor
             return factor
 
-        def refresh(fresh_factor):
-            self._seeds[key] = fresh_factor
+        def refresh(current):
+            self.fallbacks += 1
+            self._seeds[key] = self._direct_factor(current)
+            return self._seeds[key]
 
-        return _KrylovFactor(matrix, seed, self.config, refresh)
+        return _KrylovFactor(matrix, seed, self.config, refresh,
+                             self.metered)
+
+    def _direct_factor(self, matrix) -> SparseFactor:
+        factor = SparseFactor(matrix)
+        if self.metered:
+            _BACKEND_FACTORIZATIONS.inc(backend=self.name)
+        return factor
 
 
 class _KrylovFactor:
@@ -256,13 +270,14 @@ class _KrylovFactor:
     """
 
     def __init__(self, matrix, seed: SparseFactor,
-                 config: SolverConfig, on_refresh):
+                 config: SolverConfig, refresh, metered: bool = True):
         self.shape = matrix.shape
         self.dtype = matrix.dtype
         self._matrix = matrix
         self._seed = seed
         self._config = config
-        self._on_refresh = on_refresh
+        self._refresh = refresh
+        self._metered = metered
         self._direct = None
         self._scaled = None
 
@@ -293,20 +308,22 @@ class _KrylovFactor:
                                                      rhs.dtype))
 
     # ------------------------------------------------------------------
+    def _count(self, outcome: str) -> None:
+        if self._metered:
+            _KRYLOV_SOLVES.inc(outcome=outcome)
+
     def _solve_column(self, b: np.ndarray) -> np.ndarray:
         if self._direct is not None:
-            _KRYLOV_SOLVES.inc(outcome="direct")
+            self._count("direct")
             return self._direct.solve(b)
         x = self._try_krylov(b)
         if x is not None:
-            _KRYLOV_SOLVES.inc(outcome="converged")
+            self._count("converged")
             return x
         # Certification failed: factor the current matrix directly and
         # promote it to the new seed so later calls skip the stale one.
-        _KRYLOV_SOLVES.inc(outcome="fallback")
-        self._direct = SparseFactor(self._matrix)
-        _BACKEND_FACTORIZATIONS.inc(backend="krylov")
-        self._on_refresh(self._direct)
+        self._count("fallback")
+        self._direct = self._refresh(self._matrix)
         return self._direct.solve(b)
 
     def _scaled_system(self):
@@ -322,15 +339,21 @@ class _KrylovFactor:
         the fallback's ``SparseFactor`` then raises the proper error.
         """
         if self._scaled is None:
-            row_max = _max_abs_rows(self._matrix)
+            # Scale the stored entries in place of two diagonal
+            # products: same values, a fraction of the cost.
+            scaled = self._matrix.copy()
+            scaled.sum_duplicates()
+            row_max = _max_abs_rows(scaled)
             if np.any(row_max == 0.0):
                 return None
             row_scale = 1.0 / row_max
-            scaled = sp.diags(row_scale) @ self._matrix
-            col_max = _max_abs_rows(scaled.T.tocsr())
+            scaled.data = scaled.data * np.repeat(row_scale,
+                                                  np.diff(scaled.indptr))
+            col_max = np.zeros(scaled.shape[1])
+            np.maximum.at(col_max, scaled.indices, np.abs(scaled.data))
             col_max[col_max == 0.0] = 1.0
             col_scale = 1.0 / col_max
-            scaled = (scaled @ sp.diags(col_scale)).tocsr()
+            scaled.data = scaled.data * col_scale[scaled.indices]
             self._scaled = (scaled, row_scale, col_scale)
         return self._scaled
 
@@ -376,7 +399,8 @@ class _KrylovFactor:
             y, info = solver(scaled, b_scaled, **kwargs)
         except Exception:  # scipy breakdowns -> certified fallback
             return None
-        _KRYLOV_ITERATIONS.inc(iterations[0])
+        if self._metered:
+            _KRYLOV_ITERATIONS.inc(iterations[0])
         if info != 0:
             return None
         # Certify against a recomputed row-equilibrated residual

@@ -84,9 +84,18 @@ def node_net_doping(structure: Structure,
 def solve_equilibrium(structure: Structure, geometry: GridGeometry,
                       doping_profile: DopingProfile = None,
                       newton_options: NewtonOptions = None,
+                      initial_guess: EquilibriumState = None,
                       ) -> EquilibriumState:
     """Solve the zero-bias operating point on (possibly perturbed)
     ``geometry``.
+
+    ``initial_guess`` is an optional nearby solved state, typically the
+    nominal equilibrium.  Newton then starts from its potential with
+    each carrier node shifted by the change of the local charge-neutral
+    potential from the guess's doping to this sample's, so the guess
+    brings its depletion layers and the sample its own bulk.  Without
+    a guess, or when the guess has another node count or no
+    semiconductor, Newton starts from the charge-neutral potential.
 
     Returns a trivial all-zero state when the structure contains no
     semiconductor (the capacitance-only fast path).
@@ -162,6 +171,16 @@ def solve_equilibrium(structure: Structure, geometry: GridGeometry,
 
     v0_free = np.where(carrier_free,
                        equilibrium_potential(doping_free, ni, vt), 0.0)
+    if (initial_guess is not None
+            and initial_guess.potential.shape == (num_nodes,)
+            and initial_guess.has_semiconductor):
+        guess_free = initial_guess.potential[free]
+        guess_carriers = initial_guess.carrier_mask[free]
+        guess_neutral = np.where(
+            guess_carriers,
+            equilibrium_potential(initial_guess.net_doping[free], ni, vt),
+            0.0)
+        v0_free = v0_free + guess_free - guess_neutral
     v_free, iterations = damped_newton(residual_jacobian, v0_free,
                                        newton_options)
 

@@ -14,11 +14,23 @@ Two entry points:
   only the Dirichlet data changes.
 * :func:`solve_sparse` — the one-shot convenience wrapper (factorize,
   solve, discard), kept for callers with a single right-hand side.
+
+Every factorization first pins the process's OpenBLAS copies to one
+thread (:func:`pin_blas_single_thread`) and leaves them there: a
+threaded BLAS changes the roundoff of the factorization with the
+thread count the process starts with, so the same cache key would
+build different bytes.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
+import os
+
 import numpy as np
+import scipy
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -34,6 +46,73 @@ _FACTORIZATIONS = counter(
 _SOLVES = counter(
     "repro_solver_solves_total",
     "Triangular back-substitutions through an existing factorization")
+
+
+@functools.lru_cache(maxsize=None)
+def _openblas_thread_apis() -> tuple:
+    """``(get, set)`` thread-count functions of every OpenBLAS copy.
+
+    scipy wheels bundle their own OpenBLAS (LP64, symbols prefixed
+    ``scipy_``), separate from numpy's ILP64 copy whose symbols also
+    carry a ``64_`` suffix; a system build links a plain
+    ``libopenblas``.  The libraries are looked up among the objects
+    this process has mapped and in the wheels' bundled-library
+    directories.  Empty when no OpenBLAS thread API is found (another
+    BLAS, or a static build).
+    """
+    paths = []
+    try:
+        with open("/proc/self/maps") as handle:
+            paths = [line.split(None, 5)[-1].strip() for line in handle
+                     if "openblas" in line]
+    except OSError:
+        pass
+    for package in (np, scipy):
+        root = os.path.dirname(package.__file__)
+        for libdir in (root + ".libs", os.path.join(root, ".dylibs")):
+            paths += sorted(glob.glob(os.path.join(libdir, "*openblas*")))
+    apis = []
+    for path in dict.fromkeys(paths):
+        try:
+            api = _thread_api(ctypes.CDLL(path))
+        except OSError:
+            continue
+        if api is not None:
+            apis.append(api)
+    return tuple(apis)
+
+
+def _thread_api(library):
+    """``(get, set)`` of one OpenBLAS library, or ``None``."""
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("", "64_"):
+            getter = getattr(library, f"{prefix}_get_num_threads{suffix}",
+                             None)
+            setter = getattr(library, f"{prefix}_set_num_threads{suffix}",
+                             None)
+            if getter is not None and setter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                return getter, setter
+    return None
+
+
+def pin_blas_single_thread() -> None:
+    """Pin every OpenBLAS copy to one thread for the rest of the process.
+
+    Never restored.  scipy's copy runs SuperLU and the Krylov vector
+    kernels; numpy's runs the dense algebra of a build and the
+    surrogate evaluation of later queries.  At these sizes a second
+    thread buys little, and an idle OpenBLAS worker spins: on a small
+    host it can share the main thread's core and halve it.  Checked on
+    every factorization, so a caller that raises a count again cannot
+    change the next LU's bits.  A no-op where no OpenBLAS thread API
+    exists.  Execution-only: it changes how a solve runs, never what
+    it is.
+    """
+    for getter, setter in _openblas_thread_apis():
+        if getter() != 1:
+            setter(1)
 
 
 def _max_abs_rows(matrix: sp.csr_matrix) -> np.ndarray:
@@ -107,6 +186,7 @@ class SparseFactor:
             self._row_scale = row_scale
             self._col_scale = col_scale
 
+            pin_blas_single_thread()
             try:
                 self._lu = spla.splu(scaled)
             except RuntimeError as exc:

@@ -567,6 +567,11 @@ class TestDaemonObservability:
         assert parsed["repro_store_misses_total"]["type"] == "counter"
         assert parsed["repro_http_request_seconds"]["type"] \
             == "histogram"
+        # The build's DC Newton solves are metered too.
+        assert parsed["repro_solver_newton_iterations"]["type"] \
+            == "histogram"
+        assert parsed["repro_solver_newton_fallbacks_total"]["type"] \
+            == "counter"
 
     def test_metrics_endpoint_labels_are_bounded(self, daemon):
         from repro.obs import parse_prometheus
