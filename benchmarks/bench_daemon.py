@@ -1,4 +1,4 @@
-"""DAEMON: always-on serving — single-flight builds and indexed listings.
+"""DAEMON: always-on serving — single-flight builds and memoized listings.
 
 The daemon's economics extend the serving layer's: the store already
 makes each surrogate a one-time cost, the daemon makes the *process*
@@ -9,10 +9,11 @@ Three claims, each measured:
   solve campaign (`builds == 1` in the daemon's own counters; the
   other K-1 requests are served from the leader's flight or the
   store).  Solve counts are deterministic and gated exactly.
-* **indexed listings** — at ~1k synthetic store entries the sqlite
-  sidecar index answers `store ls` from one directory scan plus one
-  query instead of ~1k validated JSON reads, with output *identical*
-  to the scan's (gated as a boolean).
+* **memoized listings** — at ~1k synthetic store entries, the first
+  `inventory()` on a fresh store handle reads and validates every
+  sidecar; the second on the same handle (a long-lived daemon's
+  case) answers from the store's sidecar memo after one directory
+  pass, with output *identical* to the first (gated as a boolean).
 * **warm HTTP queries** — a warm `/query` round trip through the
   HTTP stack stays within an order of magnitude of calling
   `serve_batch` in-process; both are reported (wall fields, not
@@ -30,7 +31,7 @@ import urllib.request
 
 import numpy as np
 
-from repro.daemon import IndexedSurrogateStore, ReproDaemon
+from repro.daemon import ReproDaemon
 from repro.experiments import table1_spec
 from repro.reporting import format_kv_block
 from repro.serving import (
@@ -45,7 +46,7 @@ from repro.stochastic.pce import QuadraticPCE
 from conftest import write_bench_json, write_report
 
 #: Deliberately profile-independent: the daemon bench measures serving
-#: mechanics (coalescing, index lookups, HTTP overhead), not solver
+#: mechanics (coalescing, listings, HTTP overhead), not solver
 #: scale, so the build spec stays tiny in both profiles.
 TINY_PARAMS = {"max_step_um": 2.0, "rdf_nodes": 6}
 TINY_REDUCTION = {"caps": {"doping": 1}, "energy": 0.9}
@@ -72,25 +73,22 @@ def _post_query(url: str, document: dict) -> dict:
         return json.load(response)
 
 
-def test_daemon_singleflight_and_index(profile, output_dir, tmp_path):
+def test_daemon_singleflight_and_listing(profile, output_dir, tmp_path):
     cfg = profile["daemon"]
     store_root = tmp_path / "store"
 
-    # -- indexed vs scanning `store ls` at cfg["store_entries"] -------
+    # -- cold vs memoized `store ls` at cfg["store_entries"] ----------
     _fabricate_entries(store_root, cfg["store_entries"])
-    scan_store = SurrogateStore(store_root)
+    store = SurrogateStore(store_root)
     start = time.perf_counter()
-    scan_rows = scan_store.inventory()
+    scan_rows = store.inventory()
     scan_wall = time.perf_counter() - start
 
     start = time.perf_counter()
-    indexed_store = IndexedSurrogateStore(store_root)
-    index_build_wall = time.perf_counter() - start
-    start = time.perf_counter()
-    indexed_rows = indexed_store.inventory()
-    indexed_wall = time.perf_counter() - start
+    memo_rows = store.inventory()
+    memo_wall = time.perf_counter() - start
 
-    identical_listing = indexed_rows == scan_rows
+    identical_listing = memo_rows == scan_rows
     assert identical_listing and len(scan_rows) == cfg["store_entries"]
 
     # -- K concurrent misses on one spec through the daemon -----------
@@ -126,7 +124,7 @@ def test_daemon_singleflight_and_index(profile, output_dir, tmp_path):
 
     start = time.perf_counter()
     for _ in range(repeats):
-        serve_batch(document, indexed_store)
+        serve_batch(document, store)
     direct_warm_wall = (time.perf_counter() - start) / repeats
 
     served_without_build = (stats["coalesced_builds"] + stats["hits"])
@@ -134,9 +132,8 @@ def test_daemon_singleflight_and_index(profile, output_dir, tmp_path):
         "store_entries": cfg["store_entries"],
         "identical_listing": identical_listing,
         "ls_scan_wall_s": scan_wall,
-        "ls_indexed_wall_s": indexed_wall,
-        "index_build_wall_s": index_build_wall,
-        "ls_speedup": scan_wall / indexed_wall,
+        "ls_memo_wall_s": memo_wall,
+        "ls_speedup": scan_wall / memo_wall,
         "concurrent_queries": cfg["concurrent_queries"],
         "singleflight_builds": stats["builds"],
         "singleflight_build_solves": stats["build_solves"],
@@ -153,8 +150,8 @@ def test_daemon_singleflight_and_index(profile, output_dir, tmp_path):
     write_bench_json(output_dir, "daemon", payload)
     write_report(output_dir, "bench_daemon", format_kv_block([
         ("store entries", str(cfg["store_entries"])),
-        ("ls: sidecar scan [ms]", f"{scan_wall * 1e3:.1f}"),
-        ("ls: indexed [ms]", f"{indexed_wall * 1e3:.1f}"),
+        ("ls: first, full scan [ms]", f"{scan_wall * 1e3:.1f}"),
+        ("ls: second, memo [ms]", f"{memo_wall * 1e3:.1f}"),
         ("ls: speedup", f"{payload['ls_speedup']:.1f}x"),
         ("ls: identical output", str(identical_listing)),
         ("concurrent misses", str(cfg["concurrent_queries"])),
@@ -162,4 +159,4 @@ def test_daemon_singleflight_and_index(profile, output_dir, tmp_path):
         ("served without build", str(served_without_build)),
         ("warm query: HTTP [ms]", f"{http_warm_wall * 1e3:.2f}"),
         ("warm query: direct [ms]", f"{direct_warm_wall * 1e3:.2f}"),
-    ], title="daemon: single-flight builds + indexed store"))
+    ], title="daemon: single-flight builds + memoized listings"))

@@ -263,8 +263,8 @@ def cmd_build(args) -> int:
 
 def cmd_store_ls(args) -> int:
     import time as _time
-    from repro.daemon import open_indexed_store
-    store = open_indexed_store(args.store)
+    from repro.serving import open_store
+    store = open_store(args.store)
     entries = store.inventory()
     if args.json:
         _emit_json({"store": str(store.root), "entries": entries})
@@ -294,8 +294,9 @@ def cmd_store_ls(args) -> int:
 
 
 def cmd_store_gc(args) -> int:
-    from repro.daemon import open_indexed_store, run_gc
-    store = open_indexed_store(args.store)
+    from repro.daemon import run_gc
+    from repro.serving import open_store
+    store = open_store(args.store)
     report = run_gc(store, max_entries=args.max_entries,
                     max_bytes=args.max_bytes, dry_run=args.dry_run)
     if args.json:

@@ -27,7 +27,6 @@ from repro.analysis.speedup import SpeedupReport
 from repro.analysis.parallel import (
     ParallelWaveEvaluator,
     run_mc_parallel,
-    run_sscm_parallel,
 )
 
 __all__ = [
@@ -46,5 +45,4 @@ __all__ = [
     "SpeedupReport",
     "ParallelWaveEvaluator",
     "run_mc_parallel",
-    "run_sscm_parallel",
 ]

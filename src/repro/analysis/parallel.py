@@ -3,9 +3,10 @@
 The paper's conclusion names parallel computing as the planned remedy
 for the "several hours" a typical variational run costs.  Both
 stochastic drivers are embarrassingly parallel over samples, so this
-module fans the deterministic solves out over worker processes; the
-adaptive engine's per-wave batches go through the same pool via
-:class:`ParallelWaveEvaluator`.
+module fans the deterministic solves out over worker processes:
+Monte Carlo through :func:`run_mc_parallel`, and collocation — the
+fixed grid of ``run_sscm_analysis(workers=)`` and every adaptive
+refinement wave — through :class:`ParallelWaveEvaluator`.
 
 Workers receive a *picklable problem builder* (e.g.
 ``functools.partial(table1_problem, "both", config)``) rather than the
@@ -34,10 +35,6 @@ import numpy as np
 from repro.errors import StochasticError
 from repro.obs.trace import get_tracer
 from repro.stochastic.montecarlo import MonteCarloResult
-from repro.stochastic.sscm import SSCMResult
-from repro.stochastic.hermite import HermiteBasis
-from repro.stochastic.pce import QuadraticPCE
-from repro.stochastic.sparse_grid import smolyak_sparse_grid
 from repro.variation.random_field import stable_cholesky
 
 _WORKER_STATE = {}
@@ -61,21 +58,6 @@ def _worker_mc_chunk(args):
         xi = {group.name: factors[group.name]
               @ rng.standard_normal(group.size)
               for group in problem.groups}
-        values.append(problem.evaluate_sample(xi))
-    return np.vstack(values)
-
-
-def _worker_collocation_chunk(args):
-    matrices, points = args
-    problem = _WORKER_STATE["problem"]
-    values = []
-    for zeta in points:
-        offset = 0
-        xi = {}
-        for name, matrix in matrices:
-            width = matrix.shape[1]
-            xi[name] = matrix @ zeta[offset:offset + width]
-            offset += width
         values.append(problem.evaluate_sample(xi))
     return np.vstack(values)
 
@@ -272,33 +254,3 @@ def run_mc_parallel(problem_builder, num_runs: int, seed: int = 0,
         wall_time=wall,
         output_names=list(output_names) if output_names else None,
     )
-
-
-def run_sscm_parallel(problem_builder, reduced_space, num_workers: int = None,
-                      output_names=None, level: int = 2) -> SSCMResult:
-    """Sparse-grid collocation with worker processes.
-
-    The reduction (which needs one nominal solve) is performed by the
-    caller; workers only evaluate collocation points.
-    """
-    if num_workers is None:
-        num_workers = _default_workers()
-    grid = smolyak_sparse_grid(reduced_space.dim, level=level)
-    matrices = [(rg.group.name, rg.reduction.matrix)
-                for rg in reduced_space.groups]
-    point_chunks = np.array_split(grid.points, num_workers)
-    args = [(matrices, chunk) for chunk in point_chunks if len(chunk)]
-
-    start = time.perf_counter()
-    with ProcessPoolExecutor(max_workers=num_workers,
-                             initializer=_worker_init,
-                             initargs=(problem_builder,)) as pool:
-        blocks = list(pool.map(_worker_collocation_chunk, args))
-    wall = time.perf_counter() - start
-    values = np.vstack(blocks)
-
-    basis = HermiteBasis(reduced_space.dim, order=2)
-    pce = QuadraticPCE.fit_quadrature(basis, grid.points, grid.weights,
-                                      values, output_names=output_names)
-    return SSCMResult(pce=pce, num_runs=grid.num_points, wall_time=wall,
-                      grid=grid)

@@ -4,11 +4,12 @@ Promotes the batch CLI (`repro build|query`) into a long-running
 system: a JSON-over-HTTP daemon (:mod:`~repro.daemon.server`) wrapping
 ``serve_batch`` with per-request isolation, a single-flight build
 queue so a thundering herd of identical misses costs one solve
-campaign (:mod:`~repro.daemon.singleflight`), a sqlite index over the
-store's sidecars so listings and warm-start lookups stay indexed at
-thousands of entries (:mod:`~repro.daemon.index`), and LRU garbage
+campaign (:mod:`~repro.daemon.singleflight`), and LRU garbage
 collection so the store is safe to leave running forever
-(:mod:`~repro.daemon.gc`).  See ``docs/DAEMON.md``.
+(:mod:`~repro.daemon.gc`).  Listings and warm-start lookups stay
+cheap at thousands of entries because the daemon's one long-lived
+:class:`~repro.serving.store.SurrogateStore` keeps its in-memory
+sidecar memo warm.  See ``docs/DAEMON.md``.
 
 Exports resolve lazily (PEP 562), mirroring the top-level package:
 importing :mod:`repro.daemon` costs nothing, and the serving layer
@@ -26,10 +27,6 @@ _EXPORTS = {
     "build_lock": "repro.daemon.singleflight",
     "try_build_lock": "repro.daemon.singleflight",
     "release_lock": "repro.daemon.singleflight",
-    "StoreIndex": "repro.daemon.index",
-    "IndexedSurrogateStore": "repro.daemon.index",
-    "open_indexed_store": "repro.daemon.index",
-    "INDEX_DB_NAME": "repro.daemon.index",
     "ReproDaemon": "repro.daemon.server",
     "GcPlan": "repro.daemon.gc",
     "plan_gc": "repro.daemon.gc",

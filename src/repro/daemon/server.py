@@ -10,9 +10,9 @@ builds:
   :class:`~repro.daemon.singleflight.SingleFlight` table (K concurrent
   misses on one spec -> one solve campaign) on top of the
   cross-process advisory lock ``ensure_surrogate`` already takes;
-* the store is opened with its sqlite index
-  (:mod:`~repro.daemon.index`), so inventory and warm-start lookups
-  stay indexed at thousands of entries;
+* the store handle lives as long as the process, so its in-memory
+  sidecar memo stays warm and inventory and warm-start lookups
+  re-read only the sidecars that changed since the last call;
 * per-request isolation is inherited from ``serve_batch``: a bad spec
   or a failed solve errors that request, never the batch, and an
   unexpected exception errors that HTTP request, never the server.
@@ -27,7 +27,7 @@ GET             /health         liveness: status, uptime, store path,
 GET             /stats          request/build/coalesce/hit/error
                                 counters plus per-endpoint latency
                                 histograms
-GET             /store          the store inventory (indexed listing)
+GET             /store          the store inventory
 GET             /campaign       campaign catalog summaries
                                 (:func:`repro.campaign.list_catalogs`)
 GET             /campaign/<id>  one full campaign catalog document
@@ -59,13 +59,12 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.campaign.catalog import list_catalogs, read_catalog
 from repro.errors import CampaignError, ReproError, ServingError
-from repro.daemon.index import open_indexed_store
 from repro.daemon.singleflight import SingleFlight
 from repro.obs.export import prometheus_text
 from repro.obs.log import EventLog
 from repro.obs.metrics import REGISTRY, MetricsRegistry
 from repro.serving.pipeline import BuildReport, ensure_surrogate
-from repro.serving.service import serve_batch
+from repro.serving.service import open_store, serve_batch
 
 logger = logging.getLogger("repro.daemon")
 
@@ -81,13 +80,12 @@ KNOWN_ENDPOINTS = ("/campaign", "/health", "/metrics", "/query",
 
 
 class ReproDaemon:
-    """One serving process: store + index + single-flight + HTTP.
+    """One serving process: store + single-flight + HTTP.
 
     Parameters
     ----------
     store_path : str or pathlib.Path, optional
-        Store directory (default: the CLI's default store).  Opened
-        with the sqlite index when the filesystem allows it.
+        Store directory (default: the CLI's default store).
     host, port : str, int
         Bind address.  ``port=0`` picks an ephemeral port (tests);
         the bound address is available as :attr:`address`.
@@ -110,7 +108,7 @@ class ReproDaemon:
     def __init__(self, store_path=None, host="127.0.0.1", port=0,
                  build_missing=True, warm_start=True,
                  engine_options=None, access_log=None, quiet=False):
-        self.store = open_indexed_store(store_path)
+        self.store = open_store(store_path)
         self.build_missing = bool(build_missing)
         self.warm_start = bool(warm_start)
         self.engine_options = engine_options

@@ -19,8 +19,7 @@ Rule families (full catalog in ``docs/LINT.md``):
   the ``created_at``/``last_used`` stamping allowlist; no iteration
   over raw sets into ordered output.
 - **RL3xx** store atomicity: every write under ``repro.serving`` and
-  ``repro.daemon`` goes through the unique-tmp+rename helper, and
-  sqlite stays confined to the WAL-configured sidecar index.
+  ``repro.daemon`` goes through the unique-tmp+rename helper.
 - **RL4xx** pool safety: only module-level callables cross process
   boundaries.
 - **RL5xx** public-API drift: ``__all__`` entries must resolve and be

@@ -116,23 +116,12 @@ HASH_CONSTRUCTORS = frozenset({
 
 #: Modules patrolled by the store-atomicity family: every persistent
 #: write under the store layer — serving, the daemon subsystem that
-#: mutates the same store (index, gc, server) *and* the campaign
+#: mutates the same store (gc, server) *and* the campaign
 #: layer that writes catalogs into it — must go through the
 #: unique-tmp+rename helper, or a torn write becomes silently wrong
 #: statistics.
 STORE_LAYER_PREFIXES = ("repro.serving", "repro.daemon",
                         "repro.campaign")
-
-#: The only modules allowed to open sqlite connections, and the pragma
-#: statements every connection there must configure.  The sqlite index
-#: is a *cache* over the sidecars (disk wins, the index self-heals);
-#: WAL mode keeps a crashed writer from corrupting the db file for
-#: concurrent readers, and an explicit synchronous level documents the
-#: declared durability tradeoff.  A ``sqlite3.connect`` anywhere else
-#: in the store layer means someone is growing a second source of
-#: truth.
-SQLITE_INDEX_MODULES = ("repro.daemon.index",)
-SQLITE_REQUIRED_PRAGMAS = ("journal_mode=WAL", "synchronous=NORMAL")
 
 #: A function whose name contains one of these substrings IS an
 #: atomic-write helper: raw file operations are its job.

@@ -6,11 +6,8 @@ unique-tmp+rename helper (``SurrogateStore._atomic_write``): a bare
 as corruption at best and as silently wrong statistics at worst.  The
 family patrols ``repro.serving`` *and* ``repro.daemon`` — the
 pipeline, service, daemon and gc layers must hand bytes to the store,
-never touch disk themselves (RL301) — and confines sqlite to the one
-sidecar-index module, where every connection must declare WAL
-journaling and its synchronous level (RL302): the index is a cache
-over the sidecars, and a second ad-hoc database is a second source of
-truth waiting to disagree.
+never touch disk themselves (RL301).  RL302 (sqlite-outside-index) is
+retired with the sqlite index it guarded; its ID is not reused.
 """
 
 from __future__ import annotations
@@ -19,8 +16,6 @@ import ast
 
 from repro.lint.contracts import (
     ATOMIC_WRITER_NAMES,
-    SQLITE_INDEX_MODULES,
-    SQLITE_REQUIRED_PRAGMAS,
     STORE_LAYER_PREFIXES,
 )
 from repro.lint.diagnostics import Diagnostic
@@ -128,55 +123,3 @@ def check_nonatomic_store_write(ctx):
             if dotted_name(stream) in _STDOUT_STREAMS:
                 continue
             yield flag(node, "json.dump(...) onto a file handle")
-
-
-@file_rule(
-    "RL302", "sqlite-outside-index",
-    "sqlite is confined to the sidecar-index module, and every "
-    "connection there must declare WAL journaling and its "
-    "synchronous level",
-    scope=_is_store_scope)
-def check_sqlite_outside_index(ctx):
-    """The sqlite index is a rebuildable cache, never a second store.
-
-    Outside :data:`~repro.lint.contracts.SQLITE_INDEX_MODULES`, any
-    ``sqlite3.connect`` in the store layer is flagged: a second
-    database is a second source of truth, and its writes bypass both
-    the atomic-sidecar contract and the index's self-heal path.
-    Inside the index module, a file that connects must also configure
-    each of :data:`~repro.lint.contracts.SQLITE_REQUIRED_PRAGMAS`
-    somewhere — a non-WAL or unsynchronized-by-accident connection
-    can corrupt the db file under the daemon's concurrent readers.
-    """
-    rule = get_rule("RL302")
-    connects = [
-        node for node in ast.walk(ctx.tree)
-        if isinstance(node, ast.Call)
-        and call_qual(ctx, node) == "sqlite3.connect"]
-    if not connects:
-        return
-    if ctx.module not in SQLITE_INDEX_MODULES:
-        for node in connects:
-            yield Diagnostic(
-                file=ctx.path, line=node.lineno, col=node.col_offset,
-                rule=rule.id, severity=rule.severity,
-                message="sqlite3.connect outside the sidecar-index "
-                        "module grows a second source of truth; the "
-                        "store's only database is the rebuildable "
-                        "index in "
-                        + ", ".join(SQLITE_INDEX_MODULES))
-        return
-    pragmas_seen = " ".join(
-        node.value for node in ast.walk(ctx.tree)
-        if isinstance(node, ast.Constant)
-        and isinstance(node.value, str))
-    for pragma in SQLITE_REQUIRED_PRAGMAS:
-        if pragma not in pragmas_seen:
-            node = connects[0]
-            yield Diagnostic(
-                file=ctx.path, line=node.lineno, col=node.col_offset,
-                rule=rule.id, severity=rule.severity,
-                message=f"sqlite connection never configures "
-                        f"'PRAGMA {pragma}'; the index must declare "
-                        f"WAL journaling and its synchronous level "
-                        f"on every connection")

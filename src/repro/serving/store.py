@@ -9,6 +9,12 @@ metadata, schema version and the payload's sha256).  Writes are atomic
 and the key, so a torn write or a bit flip surfaces as
 :class:`~repro.errors.StoreCorruptionError` instead of silently wrong
 statistics.
+
+Metadata consumers (``keys``, ``inventory``, ``find_warm_start``)
+enumerate entries through one ``os.scandir`` pass and answer from a
+per-instance memo of validated sidecars, re-reading only the sidecars
+whose stat stamp moved since the last pass.  The memo lives in memory
+only: the sidecars stay the single source of truth.
 """
 
 from __future__ import annotations
@@ -19,9 +25,11 @@ import json
 import math
 import os
 import tempfile
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -114,6 +122,16 @@ class SurrogateRecord:
         return self.pce.output_labels()
 
 
+class _Validated(NamedTuple):
+    """What the sidecar memo keeps of one entry: its listing row and
+    warm-start identity, never the sidecar itself."""
+
+    stamp: tuple          # sidecar (st_mtime_ns, st_size)
+    row: dict             # inventory row, or {"key", "damaged"}
+    spec: dict            # stored canonical spec (None when damaged)
+    seedable: bool        # carries refinement a WarmStart can use
+
+
 class SurrogateStore:
     """Directory-backed map from cache key to :class:`SurrogateRecord`.
 
@@ -123,11 +141,24 @@ class SurrogateStore:
         Store directory; created (with parents) if missing.  Each
         entry is a ``<key>.npz`` payload plus a ``<key>.json``
         sidecar, written atomically and verified on read.
+
+    Notes
+    -----
+    ``inventory`` and ``find_warm_start`` answer from a per-instance,
+    lock-protected memo of validated sidecars.  Every call first
+    stats the directory and re-reads exactly the sidecars that are new
+    or whose ``(mtime, size)`` stamp moved, so edits by other
+    processes are picked up; this instance's own ``save`` / ``touch``
+    / ``delete`` also drop their key, so two writes inside one coarse
+    mtime tick cannot leave a stale row.  Nothing is written to disk
+    and nothing survives the process.
     """
 
     def __init__(self, root):
         self.root = Path(root).expanduser()
         self.root.mkdir(parents=True, exist_ok=True)
+        self._memo = {}  # key -> _Validated
+        self._memo_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     def _paths(self, key: str):
@@ -140,12 +171,83 @@ class SurrogateStore:
         payload, sidecar = self._paths(key)
         return payload.exists() and sidecar.exists()
 
+    def _scan(self) -> dict:
+        """Complete entries on disk: key -> sidecar stat stamp.
+
+        One directory pass, no JSON parsing — the single entry
+        enumeration behind ``keys``, ``inventory`` and
+        ``find_warm_start``.  Half-written entries from a crash (a
+        sidecar without its payload, or the reverse) are invisible,
+        matching ``in``/``get``.
+        """
+        sidecars, payloads = {}, set()
+        try:
+            with os.scandir(self.root) as scan:
+                for entry in scan:
+                    name = entry.name
+                    if len(name) == _KEY_HEX + 4 \
+                            and name.endswith(".npz"):
+                        payloads.add(name[:-4])
+                    elif len(name) == _KEY_HEX + 5 \
+                            and name.endswith(".json"):
+                        try:
+                            stat = entry.stat()
+                        except OSError:
+                            continue
+                        sidecars[name[:-5]] = (stat.st_mtime_ns,
+                                               stat.st_size)
+        except FileNotFoundError:
+            return {}
+        return {key: stamp for key, stamp in sidecars.items()
+                if key in payloads}
+
     def keys(self) -> list:
-        """Keys with a complete payload+sidecar pair (half-written
-        entries from a crash are invisible, matching ``in``/``get``)."""
-        return sorted(p.stem for p in self.root.glob("*.json")
-                      if len(p.stem) == _KEY_HEX
-                      and p.with_suffix(".npz").exists())
+        """Keys with a complete payload+sidecar pair, sorted."""
+        return sorted(self._scan())
+
+    def _forget(self, key: str) -> None:
+        """Drop one memo entry after this instance rewrote its files."""
+        with self._memo_lock:
+            self._memo.pop(key, None)
+
+    def _validated(self) -> dict:
+        """The memo, brought current with disk (hold ``_memo_lock``).
+
+        Vanished keys are dropped and only new or re-stamped sidecars
+        are re-read.  The lock is held across those reads, so a
+        ``_forget`` racing a re-read always lands after it.
+        """
+        disk = self._scan()
+        memo = self._memo
+        for key in [key for key in memo if key not in disk]:
+            del memo[key]
+        for key, stamp in disk.items():
+            known = memo.get(key)
+            if known is not None and known.stamp == stamp:
+                continue
+            validated = self._validate(key, stamp)
+            if validated is None:
+                memo.pop(key, None)
+            else:
+                memo[key] = validated
+        return memo
+
+    def _validate(self, key: str, stamp: tuple):
+        """Read one sidecar into a memo entry (``None`` if it vanished)."""
+        try:
+            sidecar = self._read_sidecar(key)
+        except (StoreCorruptionError, StoreSchemaError) as exc:
+            return _Validated(stamp, {"key": key, "damaged": str(exc)},
+                              None, False)
+        if sidecar is None:
+            return None
+        payload_path, _ = self._paths(key)
+        try:
+            size_bytes = payload_path.stat().st_size
+        except OSError:
+            size_bytes = 0
+        return _Validated(stamp, inventory_row(key, sidecar, size_bytes),
+                          sidecar["spec"], _seedable(sidecar))
 
     def delete(self, key: str) -> None:
         """Remove an entry; sidecar first, so a racing reader sees a
@@ -157,6 +259,7 @@ class SurrogateStore:
                 path.unlink()
             except FileNotFoundError:
                 pass
+        self._forget(key)
 
     # ------------------------------------------------------------------
     def save(self, record: SurrogateRecord) -> str:
@@ -209,6 +312,7 @@ class SurrogateStore:
         self._atomic_write(
             sidecar_path,
             (canonical_json(sidecar) + "\n").encode("utf-8"))
+        self._forget(key)
         return key
 
     def _atomic_write(self, path: Path, data: bytes) -> None:
@@ -337,14 +441,17 @@ class SurrogateStore:
         self._atomic_write(
             sidecar_path,
             (canonical_json(sidecar) + "\n").encode("utf-8"))
+        self._forget(key)
 
     def inventory(self) -> list:
         """Metadata listing of every complete entry, newest use first.
 
-        Built on :meth:`sidecar` — array payloads are never loaded, so
-        listing a store of thousands of surrogates costs thousands of
-        small JSON reads, not gigabytes of npz.  Each entry carries
-        ``key``, ``preset``, ``reduction`` (``"adaptive"`` or
+        Built from validated sidecars — array payloads are never
+        loaded.  The first listing on a handle reads every sidecar;
+        later ones re-read only the sidecars that changed on disk
+        (see the class notes), so a long-lived daemon lists thousands
+        of entries for the price of one directory pass.  Each entry
+        carries ``key``, ``preset``, ``reduction`` (``"adaptive"`` or
         ``"level-N"``), ``basis`` (the stored basis identity; order-2
         total-degree is assumed for entries written before basis
         specs existed), ``size_bytes`` (payload file size),
@@ -353,21 +460,9 @@ class SurrogateStore:
         raising — an inventory must list the store it has, not the
         store it wishes it had.
         """
-        entries = []
-        for key in self.keys():
-            payload_path, _ = self._paths(key)
-            try:
-                sidecar = self._read_sidecar(key)
-            except (StoreCorruptionError, StoreSchemaError) as exc:
-                entries.append({"key": key, "damaged": str(exc)})
-                continue
-            if sidecar is None:
-                continue
-            try:
-                size_bytes = payload_path.stat().st_size
-            except OSError:
-                size_bytes = 0
-            entries.append(inventory_row(key, sidecar, size_bytes))
+        with self._memo_lock:
+            entries = [_copy_row(entry.row)
+                       for entry in self._validated().values()]
         entries.sort(key=lambda entry: (-entry.get("last_used", 0.0),
                                         entry["key"]))
         return entries
@@ -454,7 +549,10 @@ class SurrogateStore:
             refinement metadata can seed a
             :class:`~repro.adaptive.driver.WarmStart`, or ``None``
             when no usable sibling exists.  Damaged entries are
-            skipped, never raised.
+            skipped, never raised.  Candidates are ranked from the
+            sidecar memo; the returned sidecar is re-read from disk
+            (disk wins), so it is always current and the caller owns
+            it.
         """
         target = spec.canonical()
         if target["reduction"].get("adaptive") is None:
@@ -462,47 +560,56 @@ class SurrogateStore:
         target_signature = warm_reduction_signature(target["reduction"])
         target_tol = adaptive_tol(target["reduction"])
         own_key = spec.cache_key()
-        best = None
-        for key in self.keys():
-            if key == own_key:
-                continue
+        ranked = []
+        with self._memo_lock:
+            for key, entry in self._validated().items():
+                if key == own_key or not entry.seedable:
+                    continue
+                stored = entry.spec
+                if stored.get("preset") != target["preset"]:
+                    continue
+                stored_reduction = stored.get("reduction") or {}
+                if warm_reduction_signature(stored_reduction) \
+                        != target_signature:
+                    continue
+                distance = _param_distance(target["params"],
+                                           stored.get("params") or {})
+                if distance is None:
+                    continue
+                tol_relaxed = int(adaptive_tol(stored_reduction)
+                                  != target_tol)
+                ranked.append((distance, tol_relaxed, key))
+        for _, _, key in sorted(ranked):
             try:
                 sidecar = self._read_sidecar(key)
             except (StoreCorruptionError, StoreSchemaError):
                 continue
-            if sidecar is None:
-                continue
-            refinement = sidecar.get("refinement")
-            if not refinement or not (refinement.get("accepted")
-                                      or refinement.get("trace")):
-                continue
-            stored = sidecar["spec"]
-            if stored.get("preset") != target["preset"]:
-                continue
-            stored_reduction = stored.get("reduction") or {}
-            if warm_reduction_signature(stored_reduction) \
-                    != target_signature:
-                continue
-            distance = _param_distance(target["params"],
-                                       stored.get("params") or {})
-            if distance is None:
-                continue
-            tol_relaxed = int(adaptive_tol(stored_reduction)
-                              != target_tol)
-            rank = (distance, tol_relaxed, key)
-            if best is None or rank < best[0]:
-                best = (rank, key, sidecar)
-        if best is None:
-            return None
-        return best[1], best[2]
+            if sidecar is not None and _seedable(sidecar):
+                return key, sidecar
+        return None
+
+
+def _copy_row(row: dict) -> dict:
+    """A caller-owned copy of a memo row, so callers cannot edit it."""
+    copy = dict(row)
+    if "basis" in copy:
+        copy["basis"] = dict(copy["basis"])
+    return copy
+
+
+def _seedable(sidecar: dict) -> bool:
+    """Does a sidecar carry refinement a warm start can replay?"""
+    refinement = sidecar.get("refinement")
+    return bool(refinement) and bool(refinement.get("accepted")
+                                     or refinement.get("trace"))
 
 
 def inventory_row(key: str, sidecar: dict, size_bytes: int) -> dict:
     """One ``inventory()`` listing row from a validated sidecar.
 
-    Shared with the daemon's sqlite index, which caches these rows so
-    an indexed listing is *identical* (not just equivalent) to a full
-    sidecar scan — asserted in tests and in ``bench_daemon``.
+    The store's sidecar memo caches these rows, so a listing served
+    from the memo is *identical* (not just equivalent) to one read
+    from a fresh handle — asserted in tests and in ``bench_daemon``.
     """
     spec = sidecar.get("spec") or {}
     reduction = spec.get("reduction") or {}
@@ -526,9 +633,9 @@ def warm_reduction_signature(reduction: dict) -> dict:
     """A canonical reduction block with ``basis`` and ``tol`` relaxed.
 
     Warm starts transfer the *refinement* state (accepted indices +
-    indicators), and this signature — what ``find_warm_start`` (and
-    the daemon's sqlite index) match on — drops exactly the adaptive
-    settings that state transfers across:
+    indicators), and this signature — what ``find_warm_start``
+    matches on — drops exactly the adaptive settings that state
+    transfers across:
 
     * ``basis`` — refinement is basis-independent: the ``basis`` mode
       only changes the final projection, never the grids, solves or
@@ -556,9 +663,8 @@ def warm_reduction_signature(reduction: dict) -> dict:
 
 def adaptive_tol(reduction: dict):
     """The adaptive stopping tolerance of a canonical reduction block,
-    as a float, or ``None`` for fixed-grid blocks.  Shared by the
-    warm-start rankers (store scan and sqlite index) so "same tol"
-    means the same thing everywhere."""
+    as a float, or ``None`` for fixed-grid blocks; the warm-start
+    ranker's exact-tol tie-break compares these."""
     adaptive = reduction.get("adaptive")
     if not isinstance(adaptive, dict) or adaptive.get("tol") is None:
         return None

@@ -6,9 +6,10 @@ break:
 * **single-flight** — K concurrent misses on one spec cost one solve
   campaign, both in-process (the daemon's keyed-future table) and
   cross-process (the advisory build lock under ``ensure_surrogate``);
-* **the index is a cache** — indexed listings are identical to the
-  sidecar scan, survive deletion of the sqlite file, and track
-  out-of-band sidecar edits/deletions (disk wins, always);
+* **the sidecar memo is a cache** — a reused store handle lists and
+  warm-starts exactly like a fresh one, re-reads only what changed,
+  and tracks its own writes and out-of-band sidecar edits/deletions
+  (disk wins, always);
 * **GC is live-safe** — strictly LRU, the MRU entry is immortal,
   entries being built or hit since planning are skipped, and the
   store passes its own corruption checks afterwards;
@@ -20,27 +21,23 @@ break:
 
 import json
 import multiprocessing
+import os
 import threading
 import time
 import urllib.error
 import urllib.request
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.daemon import (
-    INDEX_DB_NAME,
-    IndexedSurrogateStore,
     ReproDaemon,
     SingleFlight,
-    open_indexed_store,
     plan_gc,
     release_lock,
     run_gc,
     try_build_lock,
 )
-from repro.daemon.index import StoreIndex
 from repro.errors import ServingError
 from repro.experiments import table1_spec
 from repro.serving import (
@@ -212,12 +209,16 @@ class TestCrossProcessBuildLock:
 
 
 # ----------------------------------------------------------------------
-# The sqlite index
+# The store's sidecar memo
 
 
 class TestStoreIndex:
+    """A long-lived ``SurrogateStore`` answers listings and warm-start
+    lookups from its in-memory sidecar memo; a fresh handle (a new
+    process) reads every sidecar.  The two must never disagree."""
+
     def _populated(self, tmp_path, count=4):
-        store = IndexedSurrogateStore(tmp_path / "store")
+        store = SurrogateStore(tmp_path / "store")
         for i in range(count):
             key = store.save(fabricated_record(margin_um=1.0 + i))
             store.touch(key, when=1.0e9 + i)
@@ -225,30 +226,13 @@ class TestStoreIndex:
 
     def test_indexed_inventory_identical_to_scan(self, tmp_path):
         store = self._populated(tmp_path)
-        scan = SurrogateStore(store.root).inventory()
-        assert store.inventory() == scan
-        assert len(scan) == 4
-
-    def test_deleting_the_index_file_self_heals(self, tmp_path):
-        store = self._populated(tmp_path)
-        before = store.inventory()
-        (store.root / INDEX_DB_NAME).unlink()
-        # Same handle: the next read recreates schema and rows.
-        assert store.inventory() == before
-        # Fresh handle (daemon restart): same story.
-        reopened = IndexedSurrogateStore(store.root)
-        assert reopened.inventory() == before
-        assert (store.root / INDEX_DB_NAME).exists()
-
-    def test_corrupted_index_file_self_heals(self, tmp_path):
-        store = self._populated(tmp_path)
-        before = store.inventory()
-        for suffix in ("", "-wal", "-shm"):
-            path = Path(f"{store.root / INDEX_DB_NAME}{suffix}")
-            if path.exists():
-                path.write_bytes(b"not a database")
-        reopened = IndexedSurrogateStore(store.root)
-        assert reopened.inventory() == before
+        first = store.inventory()
+        # Callers own their rows: editing them cannot reach the memo.
+        first[0]["basis"]["order"] = 99
+        first[0]["last_used"] = 0.0
+        fresh = SurrogateStore(store.root).inventory()
+        assert store.inventory() == fresh
+        assert len(fresh) == 4 and fresh[0]["basis"]["order"] == 2
 
     def test_manual_sidecar_deletion_is_tracked(self, tmp_path):
         store = self._populated(tmp_path)
@@ -257,6 +241,7 @@ class TestStoreIndex:
         (store.root / f"{victim}.npz").unlink()
         keys = [row["key"] for row in store.inventory()]
         assert victim not in keys and len(keys) == 3
+        assert store.keys() == sorted(keys)
 
     def test_out_of_band_sidecar_edit_is_reread(self, tmp_path):
         store = self._populated(tmp_path)
@@ -266,42 +251,120 @@ class TestStoreIndex:
             sidecar_path.read_text().replace('"margin_um"', '"x"'))
         rows = {row["key"]: row for row in store.inventory()}
         assert "damaged" in rows[victim]
-        # The plain scan agrees entry-for-entry on damage.
-        scanned = {row["key"]: row
-                   for row in SurrogateStore(store.root).inventory()}
-        assert ("damaged" in scanned[victim]) and len(scanned) == 4
+        # A fresh handle agrees entry-for-entry on damage.
+        fresh = {row["key"]: row
+                 for row in SurrogateStore(store.root).inventory()}
+        assert fresh == rows and len(fresh) == 4
 
     def test_indexed_warm_start_matches_scan(self, tmp_path):
-        store = IndexedSurrogateStore(tmp_path / "store")
+        store = SurrogateStore(tmp_path / "store")
         for margin in (1.0, 2.5):
             store.save(fabricated_record(refinement=REFINEMENT,
                                          margin_um=margin))
         target = ProblemSpec(preset="table2",
                              params={"margin_um": 2.4},
                              reduction={"adaptive": {"tol": 1e-3}})
-        indexed = store.find_warm_start(target)
-        scanned = SurrogateStore(store.root).find_warm_start(target)
-        assert indexed is not None
-        assert indexed[0] == scanned[0]
-        assert indexed[1]["refinement"]["accepted"] \
-            == scanned[1]["refinement"]["accepted"]
+        warm = store.find_warm_start(target)
+        # The returned sidecar is a fresh disk read the caller owns.
+        warm[1]["refinement"]["accepted"].clear()
+        reused = store.find_warm_start(target)
+        fresh = SurrogateStore(store.root).find_warm_start(target)
+        assert reused is not None and reused == fresh
+        assert reused[1]["refinement"]["accepted"] == [[0], [1]]
+        assert reused[1]["spec"]["params"]["margin_um"] == 2.5
 
-    def test_refresh_is_incremental(self, tmp_path):
+    def test_refresh_is_incremental(self, tmp_path, monkeypatch):
         store = self._populated(tmp_path)
-        index = StoreIndex(store.root)
-        assert index.refresh(store) == 0  # nothing changed
-        store.save(fabricated_record(margin_um=9.0))
-        assert StoreIndex(store.root).count() == 5
+        reads = []
+        read_sidecar = store._read_sidecar
+        monkeypatch.setattr(store, "_read_sidecar",
+                            lambda key: reads.append(key)
+                            or read_sidecar(key))
+        store.inventory()
+        assert len(reads) == 4  # cold memo: every sidecar
+        reads.clear()
+        store.inventory()
+        assert reads == []  # unchanged store: zero sidecar reads
+        key = store.save(fabricated_record(margin_um=9.0))
+        reads.clear()
+        assert len(store.inventory()) == 5
+        assert reads == [key]
 
-    def test_open_indexed_store_degrades_gracefully(self, tmp_path):
-        # Sqlite cannot open a directory as its database file; the
-        # store must still open and serve every read from the scan.
-        root = tmp_path / "store"
-        root.mkdir()
-        (root / INDEX_DB_NAME).mkdir()
-        store = open_indexed_store(root)
-        key = store.save(fabricated_record(margin_um=1.0))
-        assert [row["key"] for row in store.inventory()] == [key]
+    def test_same_handle_touches_all_show(self, tmp_path):
+        store = self._populated(tmp_path)
+        key = store.keys()[0]
+        sidecar_path = store.root / f"{key}.json"
+        store.inventory()  # warm the memo
+        before = sidecar_path.stat()
+        for when in (2.0e9, 2.0e9 + 1.0):
+            store.touch(key, when=when)
+            # Emulate a coarse-mtime filesystem: a same-size rewrite
+            # inside one tick leaves the stat stamp where it was.
+            os.utime(sidecar_path, ns=(before.st_atime_ns,
+                                       before.st_mtime_ns))
+            assert sidecar_path.stat().st_size == before.st_size
+            rows = {row["key"]: row for row in store.inventory()}
+            assert rows[key]["last_used"] == when
+        assert store.inventory()[0]["key"] == key
+
+    def test_leftover_sqlite_index_files_are_inert(self, tmp_path):
+        store = SurrogateStore(tmp_path / "store")
+        keys = []
+        for i, margin in enumerate((1.0, 2.5, 4.0)):
+            key = store.save(fabricated_record(refinement=REFINEMENT,
+                                               margin_um=margin))
+            store.touch(key, when=1.0e9 + i)
+            keys.append(key)
+        target = ProblemSpec(preset="table2",
+                             params={"margin_um": 2.4},
+                             reduction={"adaptive": {"tol": 1e-3}})
+        listing = store.inventory()
+        warm = store.find_warm_start(target)
+        # Files an older build's sqlite index left behind.
+        for suffix in ("", "-wal", "-shm"):
+            (store.root / f".index.sqlite{suffix}").write_bytes(
+                b"SQLite format 3\x00 leftover")
+        reopened = SurrogateStore(store.root)
+        assert reopened.keys() == sorted(keys)
+        assert reopened.inventory() == listing
+        assert reopened.find_warm_start(target) == warm
+        report = run_gc(reopened, max_entries=1)
+        assert sorted(report["evicted"]) == sorted(keys[:2])
+        assert [row["key"] for row in reopened.inventory()] == [keys[2]]
+
+    def test_listings_racing_touches_see_every_entry(self, tmp_path):
+        store = self._populated(tmp_path, count=6)
+        keys = store.keys()
+        stop = threading.Event()
+        problems = []
+
+        def toucher():
+            when = 2.0e9
+            while not stop.is_set():
+                for key in keys:
+                    when += 1.0
+                    store.touch(key, when=when)
+
+        def lister():
+            for _ in range(40):
+                rows = store.inventory()
+                damaged = [row for row in rows if "damaged" in row]
+                if sorted(row["key"] for row in rows) != keys \
+                        or damaged:
+                    problems.append((len(rows), damaged))
+
+        touching = threading.Thread(target=toucher)
+        listers = [threading.Thread(target=lister) for _ in range(3)]
+        touching.start()
+        for thread in listers:
+            thread.start()
+        for thread in listers:
+            thread.join(timeout=60.0)
+        stop.set()
+        touching.join(timeout=60.0)
+        assert problems == []
+        # Quiesced, the reused handle agrees with a fresh one.
+        assert store.inventory() == SurrogateStore(store.root).inventory()
 
 
 # ----------------------------------------------------------------------
@@ -347,7 +410,7 @@ class TestPlanGc:
 
 class TestRunGc:
     def _populated(self, tmp_path, count=4):
-        store = IndexedSurrogateStore(tmp_path / "store")
+        store = SurrogateStore(tmp_path / "store")
         keys = []
         for i in range(count):
             key = store.save(fabricated_record(margin_um=1.0 + i))
@@ -364,7 +427,7 @@ class TestRunGc:
         assert sorted(survivors) == sorted(keys[2:])
         for key in survivors:  # full checksum + schema validation
             assert store.get(key) is not None
-        # The indexed listing tracked the deletions.
+        # The listing tracked the deletions.
         assert len(store.inventory()) == 2
 
     def test_dry_run_touches_nothing(self, tmp_path):
@@ -400,7 +463,7 @@ class TestRunGc:
         daemon = ReproDaemon(store_path=store.root, port=0)
         daemon.start()
         try:
-            report = run_gc(IndexedSurrogateStore(store.root),
+            report = run_gc(SurrogateStore(store.root),
                             max_entries=1)
             assert len(report["evicted"]) == 3
             host, port = daemon.address

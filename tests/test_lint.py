@@ -249,7 +249,6 @@ class TestUnorderedSetIteration:
 
 STORE_FIXTURE_PATH = "src/repro/serving/fake.py"
 DAEMON_FIXTURE_PATH = "src/repro/daemon/fake.py"
-INDEX_MODULE_PATH = "src/repro/daemon/index.py"
 
 
 class TestNonatomicStoreWrite:
@@ -304,65 +303,6 @@ class TestNonatomicStoreWrite:
                     handle.write(payload)
         """, path=DAEMON_FIXTURE_PATH)
         assert rules_of(diagnostics) == ["RL301"]
-
-
-class TestSqliteOutsideIndex:
-    def test_connect_outside_index_module_is_flagged(self):
-        diagnostics = lint_snippet("""
-            import sqlite3
-
-            def open_db(path):
-                return sqlite3.connect(path)
-        """, path=STORE_FIXTURE_PATH)
-        assert rules_of(diagnostics) == ["RL302"]
-
-    def test_connect_in_daemon_outside_index_is_flagged(self):
-        diagnostics = lint_snippet("""
-            import sqlite3
-
-            def open_db(path):
-                return sqlite3.connect(path)
-        """, path=DAEMON_FIXTURE_PATH)
-        assert rules_of(diagnostics) == ["RL302"]
-
-    def test_index_module_without_pragmas_is_flagged(self):
-        diagnostics = lint_snippet("""
-            import sqlite3
-
-            def connect(path):
-                return sqlite3.connect(path)
-        """, path=INDEX_MODULE_PATH)
-        assert rules_of(diagnostics) == ["RL302", "RL302"]
-        assert "journal_mode=WAL" in diagnostics[0].message
-        assert "synchronous=NORMAL" in diagnostics[1].message
-
-    def test_index_module_with_both_pragmas_passes(self):
-        diagnostics = lint_snippet("""
-            import sqlite3
-
-            def connect(path):
-                con = sqlite3.connect(path)
-                con.execute("PRAGMA journal_mode=WAL")
-                con.execute("PRAGMA synchronous=NORMAL")
-                return con
-        """, path=INDEX_MODULE_PATH)
-        assert diagnostics == []
-
-    def test_rule_ignores_files_without_sqlite(self):
-        diagnostics = lint_snippet("""
-            def helper():
-                return "no database here"
-        """, path=INDEX_MODULE_PATH)
-        assert diagnostics == []
-
-    def test_rule_is_scoped_to_the_store_layer(self):
-        diagnostics = lint_snippet("""
-            import sqlite3
-
-            def open_db(path):
-                return sqlite3.connect(path)
-        """, path="src/repro/reporting/fake.py")
-        assert diagnostics == []
 
 
 # ----------------------------------------------------------------------

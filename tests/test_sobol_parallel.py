@@ -129,29 +129,6 @@ class TestParallelDrivers:
         assert parallel.mean[0] == pytest.approx(serial.mean[0],
                                                  rel=0.01)
 
-    def test_parallel_sscm_matches_serial(self):
-        from repro.analysis import nominal_weights
-        from repro.analysis.parallel import run_sscm_parallel
-        from repro.stochastic.reduction import reduce_groups
-        from repro.stochastic import run_sscm as serial_sscm
-
-        problem = _builder()
-        weights = nominal_weights(problem)
-        space = reduce_groups(problem.groups, method="wpfa",
-                              weights_by_group=weights, energy=1.0,
-                              max_variables_by_group={"doping": 2})
-        parallel = run_sscm_parallel(_builder, space, num_workers=2,
-                                     output_names=["J"])
-
-        def solve_fn(zeta):
-            return problem.evaluate_sample(space.split(zeta))
-
-        serial = serial_sscm(solve_fn, space.dim, output_names=["J"])
-        assert parallel.num_runs == serial.num_runs
-        np.testing.assert_allclose(parallel.mean, serial.mean,
-                                   rtol=1e-9)
-        np.testing.assert_allclose(parallel.std, serial.std, rtol=1e-9)
-
     def test_parallel_mc_validation(self):
         from repro.analysis.parallel import run_mc_parallel
 
