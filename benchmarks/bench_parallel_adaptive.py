@@ -6,9 +6,10 @@ bench measures the two follow-ons that make the adaptive path cheap in
 
 * **Parallel wave evaluation** — every refinement wave's never-seen
   collocation points fan out over the ``analysis.parallel`` process
-  pool (``AdaptiveConfig(workers=N)``).  Asserted bitwise-identical to
-  the serial build; the measured speedup is recorded (and asserted
-  > 1 only when the machine actually has more than one core).
+  pool (``run_sscm_analysis(workers=N)``).  Asserted
+  bitwise-identical to the serial build; the measured speedup is
+  recorded (and asserted > 1 only when the machine actually has more
+  than one core).
 * **Warm-started refinement** — a perturbed sibling of a stored spec
   seeds its refinement from the stored accepted index set and, when
   the indicator drift stays small, certifies without re-exploring the
@@ -81,8 +82,8 @@ def test_parallel_waves_bitwise_and_fast(profile, output_dir):
     start = time.perf_counter()
     parallel = run_sscm_analysis(
         table2_problem(config), max_variables_by_group=caps,
-        refinement=AdaptiveConfig(workers=WORKERS, **stopping),
-        problem_builder=builder)
+        refinement=AdaptiveConfig(**stopping),
+        workers=WORKERS, problem_builder=builder)
     wall_parallel = time.perf_counter() - start
 
     meta = parallel.refinement_metadata()

@@ -151,10 +151,12 @@ def _overlay_adaptive(spec, args):
     ``--basis``) overlay (and win over) whatever adaptive block the
     request file carries, producing a new spec — and hence a new cache
     key, so adaptive and fixed builds of the same problem never alias.
-    ``--workers`` is different: it is an execution knob for *both*
-    collocation modes (the fixed level-2 grid parallelizes as one
-    wave), lands at the reduction level and never enters the cache key
-    — the same surrogate is built bit for bit on any core count.
+    ``--workers`` is different: it sets ``reduction.workers``, the one
+    worker count for *both* collocation modes (the fixed level-2 grid
+    parallelizes as one wave, an adaptive build wave by wave; the
+    adaptive block has no worker setting of its own), and never enters
+    the cache key — the same surrogate is built bit for bit on any
+    core count.
     """
     from repro.serving.spec import ProblemSpec
     overrides = {}

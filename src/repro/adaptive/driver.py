@@ -8,7 +8,7 @@ global error estimate drops under ``tol`` or the solve budget runs
 out.  Each accepted index opens a *wave* of admissible neighbors; the
 wave's new collocation points are collected and handed to the
 ``solve_many`` hook in a single call when one is supplied (the
-``workers`` stopping-control fans exactly that call over the
+runner's ``workers`` knob fans exactly that call over the
 ``analysis.parallel`` process pool — see
 :class:`~repro.analysis.parallel.ParallelWaveEvaluator`), falling back
 to a per-point loop in which every solve still rides the
@@ -65,16 +65,15 @@ BASIS_MODES = ("order2", "adaptive")
 
 @dataclass(frozen=True)
 class AdaptiveConfig:
-    """Stopping and execution controls of the adaptive refinement loop.
+    """Stopping controls and chaos basis of the adaptive refinement loop.
 
-    The first three fields are the *identity* of the build: two builds
-    with the same ``tol``/``max_solves``/``max_level`` produce the same
-    surrogate — bitwise for cold builds, within ``tol`` when one of
-    them was warm-certified from a seed — and therefore share a cache
-    key.  ``workers`` is pure
-    execution policy — it changes wall time, never a single bit of the
-    result — and is deliberately excluded from :meth:`to_dict`'s
-    default (cache-key) form.
+    Every field is part of the *identity* of the build: two builds
+    with the same ``tol``/``max_solves``/``max_level``/``basis``
+    produce the same surrogate — bitwise for cold builds, within
+    ``tol`` when one of them was warm-certified from a seed — and
+    therefore share a cache key.  The worker count is not a field
+    here: it is execution policy, set once per build through
+    ``run_sscm_analysis(workers=)``.
 
     Parameters
     ----------
@@ -100,18 +99,12 @@ class AdaptiveConfig:
         so ``max_level > 2`` buys representational accuracy, not just
         certification.  Part of the build identity (and cache key);
         the refinement *path* itself is basis-independent.
-    workers : int or None, default None
-        Fan each refinement wave's never-seen collocation points over
-        this many worker processes (``None`` or 1 keeps the serial
-        path).  Results are bitwise-identical regardless of the value;
-        it never enters a spec cache key.
     """
 
     tol: float = 1e-4
     max_solves: int = None
     max_level: int = None
     basis: str = "order2"
-    workers: int = None
 
     def __post_init__(self) -> None:
         tol = self.tol
@@ -123,7 +116,7 @@ class AdaptiveConfig:
             raise StochasticError(
                 f"basis must be one of {list(BASIS_MODES)}, "
                 f"got {self.basis!r}")
-        for name in ("max_solves", "max_level", "workers"):
+        for name in ("max_solves", "max_level"):
             value = getattr(self, name)
             if value is None:
                 continue
@@ -134,18 +127,8 @@ class AdaptiveConfig:
                     f"got {value!r}")
 
     # ------------------------------------------------------------------
-    def to_dict(self, include_workers: bool = False) -> dict:
-        """Fully-resolved wire form.
-
-        Parameters
-        ----------
-        include_workers : bool, default False
-            The default (identity) form participates in spec cache
-            keys and therefore omits ``workers`` — the same surrogate
-            is built regardless of core count.  Pass ``True`` for the
-            execution form that round-trips the knob (what
-            :meth:`~repro.serving.spec.ProblemSpec.resolved_reduction`
-            carries to the build).
+    def to_dict(self) -> dict:
+        """Fully-resolved wire form (the spec cache-key form).
 
         Returns
         -------
@@ -160,8 +143,6 @@ class AdaptiveConfig:
             # order-2 spec keeps the exact canonical form (and cache
             # key) it had before order-adaptive bases existed.
             data["basis"] = self.basis
-        if include_workers:
-            data["workers"] = self.workers
         return data
 
     @classmethod
@@ -172,7 +153,7 @@ class AdaptiveConfig:
         ----------
         data : dict or AdaptiveConfig
             Any subset of ``tol``/``max_solves``/``max_level``/
-            ``workers``; missing names take the defaults, int-valued
+            ``basis``; missing names take the defaults, int-valued
             floats are normalized.  A live config passes through.
 
         Returns
@@ -186,14 +167,13 @@ class AdaptiveConfig:
                 f"adaptive config must be a mapping, "
                 f"got {type(data).__name__}")
         unknown = set(data) - {"tol", "max_solves", "max_level",
-                               "basis", "workers"}
+                               "basis"}
         if unknown:
             raise StochasticError(
                 f"unknown adaptive settings {sorted(unknown)}; "
-                f"valid: ['basis', 'max_level', 'max_solves', 'tol', "
-                f"'workers']")
+                f"valid: ['basis', 'max_level', 'max_solves', 'tol']")
         kwargs = {}
-        for name in ("tol", "max_solves", "max_level", "workers"):
+        for name in ("tol", "max_solves", "max_level"):
             if name in data and data[name] is not None:
                 value = data[name]
                 if name != "tol" and isinstance(value, float) \
@@ -508,18 +488,16 @@ def run_adaptive_sscm(solve_fn, dim: int, config: AdaptiveConfig = None,
         Number of reduced variables.
     config:
         Stopping controls; defaults to :class:`AdaptiveConfig`.
-        ``config.workers`` is *not* acted on here — pass a parallel
-        ``solve_many`` (e.g. a
-        :class:`~repro.analysis.parallel.ParallelWaveEvaluator`) to
-        actually fan waves out; the runner wires the two together.
     output_names:
         QoI component labels.
     order:
         Chaos order of the fitted expansion (2, as in the paper).
     solve_many:
         Optional batched evaluator ``(n, dim) points -> (n, outputs)``;
-        each refinement wave goes through it in one call.  Defaults to
-        a row loop over ``solve_fn``.
+        each refinement wave goes through it in one call (e.g. a
+        :class:`~repro.analysis.parallel.ParallelWaveEvaluator`, which
+        the runner wires in for ``workers > 1``).  Defaults to a row
+        loop over ``solve_fn``.
     progress:
         Optional callable ``(solves_done, max_solves or -1)`` invoked
         after every evaluated wave.

@@ -3,10 +3,11 @@
 The paper's conclusion names parallel computing as the planned remedy
 for the "several hours" a typical variational run costs.  Both
 stochastic drivers are embarrassingly parallel over samples, so this
-module fans the deterministic solves out over worker processes:
-Monte Carlo through :func:`run_mc_parallel`, and collocation — the
-fixed grid of ``run_sscm_analysis(workers=)`` and every adaptive
-refinement wave — through :class:`ParallelWaveEvaluator`.
+module fans the deterministic solves out over one pool,
+:class:`ParallelWaveEvaluator`: the fixed grid and every adaptive wave
+of ``run_sscm_analysis(workers=)`` and the Monte-Carlo rows of
+:func:`run_mc_parallel`.  Serial or pooled, every sample is one
+:func:`evaluate_point` call, so pooled runs are bitwise-identical.
 
 Workers receive a *picklable problem builder* (e.g.
 ``functools.partial(table1_problem, "both", config)``) rather than the
@@ -16,12 +17,6 @@ paper's per-sample independence.  The per-worker problem also carries
 the solver's per-sample and per-contact-set caches, so within a chunk a
 multi-port problem factorizes each sample once and reuses that factor
 across all of its port drives (see :meth:`AVSolver.solve_ports`).
-
-Per-worker random streams are derived with
-``np.random.SeedSequence(seed).spawn(num_workers)`` rather than
-``seed + k`` offsets: offset seeds collide across runs (worker 1 of
-``seed=0`` would replay worker 0 of ``seed=1``), while spawned child
-sequences are statistically independent for every ``(seed, k)`` pair.
 """
 
 from __future__ import annotations
@@ -40,75 +35,64 @@ from repro.variation.random_field import stable_cholesky
 _WORKER_STATE = {}
 
 
-def _worker_init(problem_builder):
-    problem = problem_builder()
-    factors = {group.name: stable_cholesky(group.covariance)
-               for group in problem.groups}
-    _WORKER_STATE["problem"] = problem
-    _WORKER_STATE["factors"] = factors
+def evaluate_point(problem, space, zeta) -> np.ndarray:
+    """One deterministic solve at the point ``zeta`` of ``space`` (a
+    reduced space for collocation, a :class:`FullCovarianceSpace` for
+    Monte Carlo), mapped to per-group perturbations by ``split``."""
+    return problem.evaluate_sample(space.split(zeta))
 
 
-def _worker_mc_chunk(args):
-    seed, count = args
-    problem = _WORKER_STATE["problem"]
-    factors = _WORKER_STATE["factors"]
-    rng = np.random.default_rng(seed)
-    values = []
-    for _ in range(count):
-        xi = {group.name: factors[group.name]
-              @ rng.standard_normal(group.size)
-              for group in problem.groups}
-        values.append(problem.evaluate_sample(xi))
-    return np.vstack(values)
+class FullCovarianceSpace:
+    """Unreduced counterpart of a reduced space, for Monte Carlo:
+    a standard-normal ``z`` over all groups' nodes maps to
+    ``{group: L_g @ z_g}``, ``L_g`` the Cholesky factor of the group's
+    full covariance."""
+
+    def __init__(self, groups):
+        self.factors = []
+        offset = 0
+        for group in groups:
+            self.factors.append((group.name, stable_cholesky(
+                group.covariance), slice(offset, offset + group.size)))
+            offset += group.size
+        self.dim = offset
+
+    def split(self, z) -> dict:
+        return {name: factor @ z[part]
+                for name, factor, part in self.factors}
 
 
-def _wave_worker_init(problem_builder, reduced_space):
-    problem = problem_builder()
-    _WORKER_STATE["problem"] = problem
-    _WORKER_STATE["reduced_space"] = reduced_space
+def _init_worker(problem_builder, space):
+    _WORKER_STATE["problem"] = problem_builder()
+    _WORKER_STATE["space"] = space
 
 
 def _worker_wave_chunk(points):
-    problem = _WORKER_STATE["problem"]
-    reduced_space = _WORKER_STATE["reduced_space"]
-    values = []
-    for zeta in points:
-        # Exactly the serial driver's per-point path
-        # (reduced_space.split then evaluate_sample), so a chunk of
-        # size one is bitwise-identical to the serial evaluation.
-        values.append(problem.evaluate_sample(reduced_space.split(zeta)))
-    return np.vstack(values)
-
-
-def _worker_wave_chunk_traced(points):
-    # Same arithmetic as _worker_wave_chunk, plus a perf_counter
-    # window the parent ingests as a per-worker span.  perf_counter is
-    # a system-wide monotonic clock on our platforms, so the window is
-    # directly comparable with the parent tracer's origin.
+    # The perf_counter window lets a tracing parent draw a per-worker
+    # span; perf_counter is a system-wide monotonic clock on our
+    # platforms, so the window is comparable with the parent tracer's
+    # origin.
     start = time.perf_counter()
-    block = _worker_wave_chunk(points)
+    problem = _WORKER_STATE["problem"]
+    space = _WORKER_STATE["space"]
+    block = np.vstack([evaluate_point(problem, space, zeta)
+                       for zeta in points])
     end = time.perf_counter()
     return block, {"start": start, "end": end, "pid": os.getpid(),
                    "points": int(points.shape[0])}
 
 
-def _default_workers() -> int:
-    return max(1, min(8, os.cpu_count() or 1))
-
-
 class ParallelWaveEvaluator:
-    """Persistent-pool ``solve_many`` hook for adaptive wave batches.
+    """Persistent-pool ``solve_many`` hook for batches of points.
 
     The adaptive driver hands each refinement wave's never-seen
-    collocation points to its ``solve_many`` hook in one call; this
-    class is that hook backed by a long-lived
+    collocation points to its ``solve_many`` hook in one call (the
+    fixed grid and Monte Carlo: all their points); this class is that
+    hook backed by a long-lived
     :class:`~concurrent.futures.ProcessPoolExecutor`.  Workers build
-    the problem once (amortizing mesh/solver setup over the whole
-    refinement run, and keeping the per-sample factorization caches
-    warm within a chunk) and evaluate points with *exactly* the serial
-    driver's arithmetic — ``reduced_space.split`` followed by
-    ``evaluate_sample`` — so the fan-out is bitwise-identical to the
-    serial path, merely faster.
+    the problem once (amortizing mesh/solver setup over the whole run)
+    and evaluate points through :func:`evaluate_point`, as the serial
+    drivers do — bitwise-identical, merely faster.
 
     Parameters
     ----------
@@ -119,9 +103,10 @@ class ParallelWaveEvaluator:
         or a :meth:`~repro.serving.spec.ProblemSpec.build_problem`
         bound method).
     reduced_space:
-        The parent's :class:`~repro.stochastic.reduction.ReducedSpace`
-        (the reduction is *not* recomputed per worker — every process
-        maps collocation points through the same matrices).
+        The parent's variable space, a
+        :class:`~repro.stochastic.reduction.ReducedSpace` or a
+        :class:`FullCovarianceSpace` (every process maps points
+        through the same matrices).
     num_workers:
         Process count (default: up to 8, bounded by the CPU count).
 
@@ -135,7 +120,7 @@ class ParallelWaveEvaluator:
     def __init__(self, problem_builder, reduced_space,
                  num_workers: int = None):
         if num_workers is None:
-            num_workers = _default_workers()
+            num_workers = max(1, min(8, os.cpu_count() or 1))
         if num_workers < 1:
             raise StochasticError(
                 f"num_workers must be >= 1, got {num_workers}")
@@ -143,7 +128,7 @@ class ParallelWaveEvaluator:
         self.reduced_space = reduced_space
         self._pool = ProcessPoolExecutor(
             max_workers=self.num_workers,
-            initializer=_wave_worker_init,
+            initializer=_init_worker,
             initargs=(problem_builder, reduced_space))
 
     def __call__(self, points) -> np.ndarray:
@@ -154,7 +139,9 @@ class ParallelWaveEvaluator:
         block is bitwise-identical to a serial row loop.  An empty
         batch returns shape ``(0, 0)`` — the output width is unknown
         until a point has been solved, and the driver never forwards
-        empty waves anyway.
+        empty waves anyway.  Under an enabled tracer each worker chunk
+        becomes a span under this call's ``parallel_wave`` span (real
+        per-worker trace lanes).
         """
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != self.reduced_space.dim:
@@ -168,21 +155,15 @@ class ParallelWaveEvaluator:
                                  min(self.num_workers, points.shape[0]))
                   if chunk.shape[0]]
         tracer = get_tracer()
-        if not tracer.enabled:
-            blocks = list(self._pool.map(_worker_wave_chunk, chunks))
-            return np.vstack(blocks)
-        # Traced path: identical values, plus one ingested span per
-        # worker chunk parented under this call's span so the Chrome
-        # trace shows real per-worker lanes.
         with tracer.span("parallel_wave", chunks=len(chunks),
                          points=int(points.shape[0])) as parent:
-            results = list(self._pool.map(_worker_wave_chunk_traced,
-                                          chunks))
-            for _, info in results:
-                tracer.add_span(
-                    "worker_chunk", info["start"], info["end"],
-                    parent_id=parent.span_id, pid=info["pid"], tid=0,
-                    attrs={"points": info["points"]})
+            results = list(self._pool.map(_worker_wave_chunk, chunks))
+            if tracer.enabled:
+                for _, info in results:
+                    tracer.add_span(
+                        "worker_chunk", info["start"], info["end"],
+                        parent_id=parent.span_id, pid=info["pid"],
+                        tid=0, attrs={"points": info["points"]})
         return np.vstack([block for block, _ in results])
 
     def close(self) -> None:
@@ -194,16 +175,6 @@ class ParallelWaveEvaluator:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
-
-
-def worker_seed_sequences(seed: int, num_workers: int) -> list:
-    """Independent per-worker seed sequences for a base ``seed``.
-
-    Spawned children of ``SeedSequence(seed)`` never collide across
-    base seeds, unlike the ``seed + k`` scheme this replaced (there,
-    ``seed=0``/worker 1 replayed ``seed=1``/worker 0).
-    """
-    return np.random.SeedSequence(seed).spawn(num_workers)
 
 
 def run_mc_parallel(problem_builder, num_runs: int, seed: int = 0,
@@ -220,33 +191,23 @@ def run_mc_parallel(problem_builder, num_runs: int, seed: int = 0,
     num_runs:
         Total sample count, split evenly across workers.
     seed:
-        Base seed; worker ``k`` draws from the ``k``-th spawned child
-        of ``np.random.SeedSequence(seed)``, so results are
-        reproducible for a fixed worker count and distinct base seeds
-        never share a stream.
+        Seed of the one ``default_rng`` stream all runs are drawn
+        from, so the result is bitwise the serial
+        :func:`~repro.analysis.runner.run_mc_analysis` answer for any
+        worker count.
     num_workers:
         Process count (default: up to 8, bounded by the CPU count).
     """
     if num_runs < 2:
         raise StochasticError(f"num_runs must be >= 2, got {num_runs}")
-    if num_workers is None:
-        num_workers = _default_workers()
-    worker_seeds = worker_seed_sequences(seed, num_workers)
-    chunks = []
-    base = num_runs // num_workers
-    remainder = num_runs % num_workers
-    for k in range(num_workers):
-        count = base + (1 if k < remainder else 0)
-        if count:
-            chunks.append((worker_seeds[k], count))
-
+    space = FullCovarianceSpace(problem_builder().groups)
+    points = np.random.default_rng(seed).standard_normal(
+        (num_runs, space.dim))
     start = time.perf_counter()
-    with ProcessPoolExecutor(max_workers=num_workers,
-                             initializer=_worker_init,
-                             initargs=(problem_builder,)) as pool:
-        blocks = list(pool.map(_worker_mc_chunk, chunks))
+    with ParallelWaveEvaluator(problem_builder, space,
+                               num_workers=num_workers) as evaluate:
+        values = evaluate(points)
     wall = time.perf_counter() - start
-    values = np.vstack(blocks)
     return MonteCarloResult(
         mean=values.mean(axis=0),
         std=values.std(axis=0, ddof=1),

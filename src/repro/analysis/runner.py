@@ -11,6 +11,7 @@ they matter.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -24,8 +25,11 @@ from repro.obs.trace import span
 from repro.stochastic.montecarlo import MonteCarloResult, run_monte_carlo
 from repro.stochastic.reduction import ReducedSpace, reduce_groups
 from repro.stochastic.sscm import SSCMResult, run_sscm
-from repro.variation.random_field import stable_cholesky
-from repro.analysis.parallel import ParallelWaveEvaluator
+from repro.analysis.parallel import (
+    FullCovarianceSpace,
+    ParallelWaveEvaluator,
+    evaluate_point,
+)
 from repro.analysis.problem import VariationalProblem
 from repro.analysis.weights import nominal_weights
 
@@ -138,16 +142,11 @@ def run_sscm_analysis(problem: VariationalProblem, method: str = "wpfa",
     nominal_solution : ACSolution, optional
         Reuse an existing nominal solve for the wPFA weights.
     refinement : AdaptiveConfig or dict, optional
-        Switches collocation to the dimension-adaptive engine.  Its
-        ``workers`` field fans each refinement wave over a
-        :class:`~repro.analysis.parallel.ParallelWaveEvaluator`
-        process pool (bitwise-identical results, ~cores less wall
-        time); that requires ``problem_builder``.
+        Switches collocation to the dimension-adaptive engine.
     problem_builder : callable, optional
         Zero-argument *picklable* callable rebuilding ``problem`` in
         worker processes (e.g. ``functools.partial`` over a preset, or
-        ``spec.build_problem``).  Only consulted when
-        ``refinement.workers > 1``.
+        ``spec.build_problem``).  Only consulted when ``workers > 1``.
     warm_start : WarmStart, optional
         Seed the adaptive build from a previous build's accepted index
         set (see :class:`~repro.adaptive.driver.WarmStart`); requires
@@ -155,14 +154,13 @@ def run_sscm_analysis(problem: VariationalProblem, method: str = "wpfa",
         from the surrogate store's nearest stored sibling spec.
     workers : int, optional
         Fan the deterministic solves over this many worker processes
-        — for *both* collocation modes.  The fixed level-``level``
-        grid is evaluated as one
-        :class:`~repro.analysis.parallel.ParallelWaveEvaluator` wave
-        (bitwise-identical to the serial loop); adaptive builds treat
-        it as the default when ``refinement.workers`` is unset.  Pure
-        execution policy — never part of a spec cache key — and, like
-        ``refinement.workers``, it requires ``problem_builder`` when
-        above 1.
+        of one :class:`~repro.analysis.parallel.ParallelWaveEvaluator`
+        — for *both* collocation modes: the fixed level-``level`` grid
+        is evaluated as one wave, and every adaptive refinement wave
+        goes through the same pool (bitwise-identical to the serial
+        loop either way, ~cores less wall time).  Pure execution
+        policy — never part of a spec cache key — and it requires
+        ``problem_builder`` when above 1.
     progress : callable, optional
         ``(completed, total)`` callback for the collocation loop.
 
@@ -190,10 +188,6 @@ def run_sscm_analysis(problem: VariationalProblem, method: str = "wpfa",
         raise StochasticError(
             f"workers must be a positive integer or None, "
             f"got {workers!r}")
-    if refinement is not None and refinement.workers is not None:
-        # The adaptive block's own knob wins over the reduction-level
-        # one (they are the same execution policy at two scopes).
-        workers = refinement.workers
     if workers is not None and workers > 1 and problem_builder is None:
         raise StochasticError(
             "workers > 1 needs a picklable problem_builder "
@@ -208,10 +202,7 @@ def run_sscm_analysis(problem: VariationalProblem, method: str = "wpfa",
             problem.groups, method=method, weights_by_group=weights,
             energy=energy, max_variables_by_group=max_variables_by_group)
 
-    def solve_fn(zeta):
-        xi_by_group = reduced_space.split(zeta)
-        return problem.evaluate_sample(xi_by_group)
-
+    solve_fn = partial(evaluate_point, problem, reduced_space)
     evaluator = None
     if workers is not None and workers > 1:
         evaluator = ParallelWaveEvaluator(
@@ -251,19 +242,15 @@ def run_mc_analysis(problem: VariationalProblem, num_runs: int,
     Unlike the SSCM path this samples every group from its complete
     covariance (no reduction), exactly as the paper's 10000-run MC
     benchmark does, so the comparison includes the (w)PFA truncation
-    error.
+    error.  Run ``k`` draws one standard-normal vector over all
+    groups; :func:`~repro.analysis.parallel.run_mc_parallel` draws the
+    same rows and returns the same answer bitwise.
     """
-    factors = {group.name: stable_cholesky(group.covariance)
-               for group in problem.groups}
-    groups = problem.groups
+    space = FullCovarianceSpace(problem.groups)
 
     def sample_fn(rng):
-        xi_by_group = {
-            group.name: factors[group.name]
-            @ rng.standard_normal(group.size)
-            for group in groups
-        }
-        return problem.evaluate_sample(xi_by_group)
+        return evaluate_point(problem, space,
+                              rng.standard_normal(space.dim))
 
     return run_monte_carlo(sample_fn, num_runs, seed=seed,
                            output_names=problem.qoi_names,

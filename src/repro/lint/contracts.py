@@ -20,7 +20,7 @@ from dataclasses import dataclass
 #: same surrogate is rebuilt N times and ``find_warm_start`` goes
 #: blind to its own siblings.
 EXECUTION_ONLY_FIELDS = {
-    "workers": "process count for collocation waves (bitwise-neutral)",
+    "workers": "process count for sample evaluation (bitwise-neutral)",
     "warm_start": "seeding policy for adaptive builds (tol-neutral)",
 }
 
@@ -28,7 +28,7 @@ EXECUTION_ONLY_FIELDS = {
 #: may only appear inside them in strip idioms (``del d[f]`` /
 #: ``d.pop(f)`` / a ``!= f`` comprehension guard) or under an explicit
 #: ``include_<field>`` opt-in branch (the sanctioned wire-form escape
-#: hatch, e.g. ``AdaptiveConfig.to_dict(include_workers=True)``).
+#: hatch for an execution form that must carry the field).
 IDENTITY_FUNCTIONS = ("canonical", "to_dict", "cache_key")
 
 
@@ -48,13 +48,14 @@ class StripContract:
     where: str
 
 
-#: The strip sites the current architecture requires.
+#: The strip sites the current architecture requires.  ``workers``
+#: lives only at the reduction level (the adaptive block has no such
+#: setting), so one site suffices.
 STRIP_CONTRACTS = (
     StripContract(
         cls="ProblemSpec", func="canonical", field="workers",
-        min_sites=2,
-        where="the top-level reduction dict (del) and the nested "
-              "adaptive block (comprehension filter)"),
+        min_sites=1,
+        where="the top-level reduction dict (del)"),
 )
 
 #: The only slots wall-clock time may flow into: usage/provenance

@@ -36,9 +36,10 @@ def _identity_functions(tree):
 def _guarded_by_include(node, field: str) -> bool:
     """True when an ``include_<field>`` opt-in test guards the node.
 
-    ``AdaptiveConfig.to_dict(include_workers=True)`` is the sanctioned
-    wire-form escape hatch: adding the field back is explicit at every
-    call site, so the default identity form stays clean.
+    A ``to_dict(include_<field>=True)`` opt-in parameter is the
+    sanctioned wire-form escape hatch: adding the field back is
+    explicit at every call site, so the default identity form stays
+    clean.
     """
     opt_in = f"include_{field}"
     for parent in ancestors(node):

@@ -5,7 +5,7 @@ lambdas and closures raise ``PicklingError`` — but only at runtime, on
 a machine with more than one core, which is exactly where CI isn't.
 The rule statically rejects lambdas and nested functions at every
 declared pool entry point (``.submit``/``.map`` on pool-ish receivers,
-``ProcessPoolExecutor(initializer=...)``,
+the ``initializer=`` of a ``ProcessPoolExecutor``,
 ``ParallelWaveEvaluator(problem_builder)``), so the single-core
 container catches what only an 8-core box would have crashed on.
 """

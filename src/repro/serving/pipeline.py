@@ -29,9 +29,7 @@ from repro.serving.spec import ProblemSpec
 from repro.serving.store import (
     SurrogateRecord,
     SurrogateStore,
-    _param_distance,
     adaptive_tol,
-    warm_reduction_signature,
 )
 
 #: Execution-only observability (process-global registry): cache
@@ -91,46 +89,6 @@ class BuildReport:
         return self.record.cache_key
 
 
-def _chain_candidate(spec: ProblemSpec, store: SurrogateStore,
-                     key: str):
-    """An explicitly designated warm-start predecessor, validated.
-
-    The campaign executor plans its own nearest-neighbor chain and
-    hands each build its predecessor's cache key.  That key is only
-    trusted after passing the exact sibling gates
-    ``find_warm_start`` applies — present, undamaged, refinement-
-    bearing, same preset, same relaxed reduction signature, numeric-
-    only parameter difference — so a stale or incompatible chain seed
-    degrades to the store-wide search, never a wrong seed.  Returns
-    ``(key, sidecar)`` or ``None``.
-    """
-    if key == spec.cache_key():
-        return None
-    try:
-        sidecar = store.sidecar(key)
-    except (StoreCorruptionError, StoreSchemaError):
-        return None
-    if sidecar is None:
-        return None
-    refinement = sidecar.get("refinement")
-    if not refinement or not (refinement.get("accepted")
-                              or refinement.get("trace")):
-        return None
-    target = spec.canonical()
-    if target["reduction"].get("adaptive") is None:
-        return None
-    stored = sidecar.get("spec") or {}
-    if stored.get("preset") != target["preset"]:
-        return None
-    if warm_reduction_signature(stored.get("reduction") or {}) \
-            != warm_reduction_signature(target["reduction"]):
-        return None
-    if _param_distance(target["params"],
-                       stored.get("params") or {}) is None:
-        return None
-    return key, sidecar
-
-
 def _warm_start_for(spec: ProblemSpec, store: SurrogateStore,
                     source_key: str = None):
     """Seed an adaptive build of ``spec`` from its nearest stored
@@ -139,7 +97,7 @@ def _warm_start_for(spec: ProblemSpec, store: SurrogateStore,
     raises: a malformed stored sidecar simply means a cold build."""
     found = None
     if source_key is not None:
-        found = _chain_candidate(spec, store, source_key)
+        found = store.designated_warm_start(spec, source_key)
     if found is None:
         found = store.find_warm_start(spec)
     if found is None:
@@ -186,11 +144,11 @@ def build_surrogate(spec: ProblemSpec, progress=None,
 
     One nominal solve (wPFA weights) plus one deterministic solve per
     collocation point; each point reuses PR 1's batched factorization
-    paths through the problem's ``evaluate_sample``.  Adaptive builds
-    additionally get the spec's ``workers`` fan-out (the spec itself is
-    the picklable problem builder handed to the worker pool) and — when
-    a ``store`` is supplied — a warm start from the nearest stored
-    sibling spec.
+    paths through the problem's ``evaluate_sample``.  Every build gets
+    the spec's ``workers`` fan-out (the spec itself is the picklable
+    problem builder handed to the worker pool); adaptive builds also
+    get — when a ``store`` is supplied — a warm start from the nearest
+    stored sibling spec.
 
     Parameters
     ----------

@@ -31,13 +31,12 @@ SPEC_VERSION = 1
 #: explicit default and an omitted field hash identically).
 #: ``adaptive`` is ``None`` (the paper's fixed level-2 grid) or a
 #: mapping of stopping controls (``tol``, ``max_solves``,
-#: ``max_level``, the chaos ``basis`` mode, plus the execution-only
-#: ``workers``) handed to the dimension-adaptive engine; the stopping
-#: controls and the basis are part of the canonical form, so adaptive
-#: / fixed / order-adaptive builds of the same problem never alias in
-#: the store.  ``workers`` — at the reduction level (fixed-grid
-#: parallel collocation) and inside the adaptive block alike — is
-#: *stripped* from the canonical form, because the worker count
+#: ``max_level`` and the chaos ``basis`` mode) handed to the
+#: dimension-adaptive engine; the stopping controls and the basis are
+#: part of the canonical form, so adaptive / fixed / order-adaptive
+#: builds of the same problem never alias in the store.  ``workers``
+#: — the one worker count, for fixed-grid and adaptive builds alike —
+#: is *stripped* from the canonical form, because the worker count
 #: changes wall time but not one bit of the surrogate.
 #: ``solver`` is ``None`` (the direct ``"lu"`` backend) or a
 #: linear-solver backend block (``backend``, ``tol``, ``maxiter``,
@@ -99,15 +98,13 @@ class ProblemSpec:
     reduction : dict, optional
         Analysis overrides: ``method``, ``energy``, ``caps`` (mapping
         of group name to hard cap), ``level``, ``fit``, ``workers``
-        (fan the collocation solves over worker processes — an
-        execution knob that never enters the cache key) and
-        ``adaptive`` — ``None`` for the fixed level-2 grid, or the
-        dimension-adaptive stopping controls (``tol`` /
-        ``max_solves`` / ``max_level`` / ``basis``; a live
+        (fan the collocation solves — fixed grid or adaptive waves —
+        over worker processes; an execution knob that never enters
+        the cache key) and ``adaptive`` — ``None`` for the fixed
+        level-2 grid, or the dimension-adaptive stopping controls
+        (``tol`` / ``max_solves`` / ``max_level`` / ``basis``; a live
         :class:`~repro.adaptive.driver.AdaptiveConfig` is accepted and
-        normalized to its dict form).  The adaptive block may also
-        carry its own ``workers``, which wins over the reduction-level
-        one; neither enters the cache key.
+        normalized to its dict form).
     """
 
     preset: str
@@ -139,8 +136,7 @@ class ProblemSpec:
             from repro.adaptive.driver import AdaptiveConfig
             from repro.errors import StochasticError
             if isinstance(adaptive, AdaptiveConfig):
-                self.reduction["adaptive"] = adaptive.to_dict(
-                    include_workers=True)
+                self.reduction["adaptive"] = adaptive.to_dict()
             else:
                 try:
                     AdaptiveConfig.from_dict(adaptive)
@@ -193,9 +189,9 @@ class ProblemSpec:
 
         The adaptive block (when present) is expanded to its full
         form, so ``{"tol": 1e-3}`` and ``{"tol": 1e-3, "max_level":
-        None, ...}`` hash to the same cache key.  The expansion keeps
-        the execution-only ``workers`` knob (the build needs it);
-        :meth:`canonical` strips it again before hashing.
+        None, ...}`` hash to the same cache key.  The execution-only
+        ``workers`` knob is kept (the build needs it); :meth:`canonical`
+        strips it before hashing.
 
         Returns
         -------
@@ -206,7 +202,7 @@ class ProblemSpec:
         if reduction["adaptive"] is not None:
             from repro.adaptive.driver import AdaptiveConfig
             reduction["adaptive"] = AdaptiveConfig.from_dict(
-                reduction["adaptive"]).to_dict(include_workers=True)
+                reduction["adaptive"]).to_dict()
         if reduction["solver"] is not None:
             from repro.solver.backends import SolverConfig
             reduction["solver"] = SolverConfig.from_dict(
@@ -229,9 +225,9 @@ class ProblemSpec:
         level down: the default ``"order2"`` is omitted (by
         ``AdaptiveConfig.to_dict``), so pre-existing adaptive keys
         survive byte-for-byte while order-adaptive specs hash apart.
-        The ``workers`` knobs (reduction-level and adaptive-block) are
-        stripped: the same surrogate is built (bitwise) regardless of
-        core count, so core count must not split the cache.
+        The ``workers`` knob is stripped: the same surrogate is built
+        (bitwise) regardless of core count, so core count must not
+        split the cache.
 
         The ``solver`` block follows the adaptive precedent: the
         default ``"lu"`` selection (``None`` or an explicit
@@ -248,11 +244,6 @@ class ProblemSpec:
             del reduction["solver"]
         if reduction["adaptive"] is None:
             del reduction["adaptive"]
-        else:
-            reduction["adaptive"] = {
-                name: value
-                for name, value in reduction["adaptive"].items()
-                if name != "workers"}
         return {
             "spec_version": SPEC_VERSION,
             "preset": self.preset,

@@ -1,6 +1,6 @@
 """Content-addressed persistent store for fitted surrogates.
 
-Each entry is one fitted :class:`~repro.stochastic.pce.QuadraticPCE`
+Each entry is one fitted :class:`~repro.stochastic.pce.PolynomialChaos`
 plus its provenance, addressed by the deterministic cache key of the
 :class:`~repro.serving.spec.ProblemSpec` that built it.  On disk an
 entry is an ``.npz`` payload (the arrays) and a ``.json`` sidecar (the
@@ -39,7 +39,7 @@ from repro.errors import (
     StoreSchemaError,
 )
 from repro.serving.spec import ProblemSpec, canonical_json
-from repro.stochastic.pce import QuadraticPCE
+from repro.stochastic.pce import PolynomialChaos
 
 #: On-disk layout version.  Entries written under an unsupported
 #: version are rejected on load (StoreSchemaError) rather than
@@ -103,7 +103,7 @@ class SurrogateRecord:
         for records built before the tracer existed.
     """
 
-    pce: QuadraticPCE
+    pce: PolynomialChaos
     spec: ProblemSpec
     reduction: list = field(default_factory=list)
     num_runs: int = 0
@@ -488,7 +488,7 @@ class SurrogateStore:
                 f"{sidecar['npz_sha256'][:12]}..., found {digest[:12]}...")
         try:
             with np.load(io.BytesIO(payload), allow_pickle=False) as npz:
-                pce = QuadraticPCE.from_arrays(dict(npz.items()))
+                pce = PolynomialChaos.from_arrays(dict(npz.items()))
         except Exception as exc:
             raise StoreCorruptionError(
                 f"undecodable payload for {key}: {exc}") from exc
@@ -554,31 +554,15 @@ class SurrogateStore:
             (disk wins), so it is always current and the caller owns
             it.
         """
-        target = spec.canonical()
-        if target["reduction"].get("adaptive") is None:
+        rank = _sibling_ranker(spec)
+        if rank is None:
             return None
-        target_signature = warm_reduction_signature(target["reduction"])
-        target_tol = adaptive_tol(target["reduction"])
-        own_key = spec.cache_key()
         ranked = []
         with self._memo_lock:
             for key, entry in self._validated().items():
-                if key == own_key or not entry.seedable:
-                    continue
-                stored = entry.spec
-                if stored.get("preset") != target["preset"]:
-                    continue
-                stored_reduction = stored.get("reduction") or {}
-                if warm_reduction_signature(stored_reduction) \
-                        != target_signature:
-                    continue
-                distance = _param_distance(target["params"],
-                                           stored.get("params") or {})
-                if distance is None:
-                    continue
-                tol_relaxed = int(adaptive_tol(stored_reduction)
-                                  != target_tol)
-                ranked.append((distance, tol_relaxed, key))
+                found = rank(key, entry.spec, entry.seedable)
+                if found is not None:
+                    ranked.append((*found, key))
         for _, _, key in sorted(ranked):
             try:
                 sidecar = self._read_sidecar(key)
@@ -587,6 +571,52 @@ class SurrogateStore:
             if sidecar is not None and _seedable(sidecar):
                 return key, sidecar
         return None
+
+    def designated_warm_start(self, spec: ProblemSpec, key: str):
+        """``(key, sidecar)`` when the designated entry ``key`` (e.g. a
+        campaign chain's predecessor) passes :meth:`find_warm_start`'s
+        sibling gate for ``spec``, else ``None`` — missing or damaged
+        entries included, never raised."""
+        rank = _sibling_ranker(spec)
+        if rank is None:
+            return None
+        try:
+            sidecar = self._read_sidecar(key)
+        except (StoreCorruptionError, StoreSchemaError):
+            return None
+        if sidecar is None \
+                or rank(key, sidecar["spec"], _seedable(sidecar)) is None:
+            return None
+        return key, sidecar
+
+
+def _sibling_ranker(spec: ProblemSpec):
+    """The warm-start sibling gate for ``spec``: ``None`` for a
+    fixed-grid spec, else ``rank(key, stored_spec, seedable)`` giving a
+    stored entry's ``(distance, tol_relaxed)`` — or ``None`` when it
+    is ``spec``'s own key, not seedable, or not a sibling."""
+    target = spec.canonical()
+    if target["reduction"].get("adaptive") is None:
+        return None
+    own_key = spec.cache_key()
+    target_signature = warm_reduction_signature(target["reduction"])
+    target_tol = adaptive_tol(target["reduction"])
+
+    def rank(key: str, stored: dict, seedable: bool):
+        if key == own_key or not seedable \
+                or stored.get("preset") != target["preset"]:
+            return None
+        stored_reduction = stored.get("reduction") or {}
+        if warm_reduction_signature(stored_reduction) \
+                != target_signature:
+            return None
+        distance = _param_distance(target["params"],
+                                   stored.get("params") or {})
+        if distance is None:
+            return None
+        return distance, int(adaptive_tol(stored_reduction) != target_tol)
+
+    return rank
 
 
 def _copy_row(row: dict) -> dict:

@@ -8,8 +8,8 @@ and Monte-Carlo-sampled at negligible cost, which the ablation benches
 use.
 
 The paper's model is the order-2 total-degree chaos
-(:class:`QuadraticPCE`, kept as an alias so every stored surrogate and
-serving path keeps working); the class itself carries *any*
+(:class:`QuadraticPCE`, kept as an exported alias for external
+callers); the class itself carries *any*
 :class:`~repro.stochastic.hermite.HermiteBasis`, including the
 explicit order-adaptive truncations the dimension-adaptive engine
 derives from its accepted index set.
@@ -263,8 +263,8 @@ class PolynomialChaos:
         return cls(basis, coefficients, output_names=names)
 
 
-#: The paper's order-2 chaos by its historical name.  Every module that
-#: grew up against the quadratic model (serving, stores, benches) keeps
-#: importing ``QuadraticPCE``; it *is* :class:`PolynomialChaos`, which
+#: The paper's order-2 chaos by its historical name, still exported
+#: from :mod:`repro.stochastic` for external callers (the package
+#: itself uses :class:`PolynomialChaos`); it *is* that class, which
 #: defaults to the order-2 total-degree basis.
 QuadraticPCE = PolynomialChaos

@@ -100,7 +100,9 @@ class TestStripContract:
         """)
         assert diagnostics == []
 
-    def test_single_strip_site_is_flagged(self):
+    def test_single_strip_site_passes(self):
+        """``workers`` lives only at the reduction level, so the one
+        top-level strip is the whole contract."""
         diagnostics = lint_snippet("""
             class ProblemSpec:
                 def canonical(self):
@@ -108,8 +110,16 @@ class TestStripContract:
                     del reduction["workers"]
                     return reduction
         """)
+        assert diagnostics == []
+
+    def test_missing_strip_site_is_flagged(self):
+        diagnostics = lint_snippet("""
+            class ProblemSpec:
+                def canonical(self):
+                    return dict(self.reduction)
+        """)
         assert rules_of(diagnostics) == ["RL102"]
-        assert "found 1" in diagnostics[0].message
+        assert "found 0" in diagnostics[0].message
 
     def test_missing_canonical_method_is_flagged(self):
         diagnostics = lint_snippet("""

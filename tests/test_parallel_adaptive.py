@@ -45,49 +45,47 @@ def _builder():
         design=MetalPlugDesign(max_step=um(2.0)), rdf_nodes=8))
 
 
-class TestAdaptiveConfigWorkers:
-    def test_workers_validated(self):
-        for bad in (0, -1, True, 1.5):
-            with pytest.raises(StochasticError):
-                AdaptiveConfig(workers=bad)
-        assert AdaptiveConfig(workers=None).workers is None
-        assert AdaptiveConfig(workers=4).workers == 4
-
-    def test_to_dict_excludes_workers_by_default(self):
-        config = AdaptiveConfig(tol=1e-3, workers=4)
-        assert "workers" not in config.to_dict()
-        assert config.to_dict(include_workers=True)["workers"] == 4
-
-    def test_from_dict_accepts_workers(self):
-        config = AdaptiveConfig.from_dict({"tol": 1e-3, "workers": 2.0})
-        assert config.workers == 2
-        assert AdaptiveConfig.from_dict({"workers": None}).workers is None
-        with pytest.raises(StochasticError):
-            AdaptiveConfig.from_dict({"wrokers": 2})
-
-
 class TestSpecWorkersNotInCacheKey:
-    def _spec(self, adaptive):
+    def _spec(self, adaptive, **reduction):
         from repro.experiments import table2_spec
-        return table2_spec(adaptive=adaptive, rdf_nodes=8)
+        return table2_spec(reduction=reduction, adaptive=adaptive,
+                           rdf_nodes=8)
 
     def test_same_cache_key_any_worker_count(self):
         plain = self._spec({"tol": 1e-3})
-        wide = self._spec({"tol": 1e-3, "workers": 4})
+        wide = self._spec({"tol": 1e-3}, workers=4)
         assert plain.cache_key() == wide.cache_key()
         assert plain.canonical() == wide.canonical()
+        assert "workers" not in plain.canonical()["reduction"]
         assert "workers" not in plain.canonical()["reduction"]["adaptive"]
 
     def test_workers_survive_to_analysis_kwargs(self):
-        spec = self._spec({"tol": 1e-3, "workers": 4})
-        refinement = spec.analysis_kwargs()["refinement"]
-        assert refinement.workers == 4
-        assert refinement.tol == 1e-3
+        spec = self._spec({"tol": 1e-3}, workers=4)
+        kwargs = spec.analysis_kwargs()
+        assert kwargs["workers"] == 4
+        assert kwargs["refinement"] == AdaptiveConfig(tol=1e-3)
 
     def test_live_config_round_trips_workers(self):
-        spec = self._spec(AdaptiveConfig(tol=1e-3, workers=3))
-        assert spec.reduction["adaptive"]["workers"] == 3
-        assert spec.analysis_kwargs()["refinement"].workers == 3
+        spec = self._spec(AdaptiveConfig(tol=1e-3), workers=3)
+        assert spec.reduction["adaptive"] == {
+            "tol": 1e-3, "max_solves": None, "max_level": None}
+        assert spec.analysis_kwargs()["refinement"] \
+            == AdaptiveConfig(tol=1e-3)
+        assert spec.analysis_kwargs()["workers"] == 3
+
+    def test_adaptive_block_workers_rejected(self):
+        """The worker count lives at the reduction level only; an
+        adaptive block carrying one is an unknown adaptive setting."""
+        with pytest.raises(ServingError, match="workers"):
+            self._spec({"tol": 1e-3, "workers": 4})
+        with pytest.raises(StochasticError, match="workers"):
+            AdaptiveConfig.from_dict({"tol": 1e-3, "workers": None})
+        with pytest.raises(TypeError):
+            AdaptiveConfig(tol=1e-3, workers=4)
+        # The same request with the count at the reduction level keeps
+        # the no-workers cache key.
+        assert self._spec({"tol": 1e-3}, workers=4).cache_key() \
+            == self._spec({"tol": 1e-3}).cache_key()
 
     def test_different_stopping_controls_still_split_keys(self):
         assert self._spec({"tol": 1e-3}).cache_key() \
@@ -282,8 +280,8 @@ class TestParallelWaveEvaluator:
             run_sscm_analysis(
                 _builder(), energy=1.0,
                 max_variables_by_group={"doping": 2},
-                refinement=AdaptiveConfig(tol=1e-3, max_level=2,
-                                          workers=2))
+                refinement=AdaptiveConfig(tol=1e-3, max_level=2),
+                workers=2)
 
     def test_evaluator_validates_worker_count(self):
         from repro.analysis import ParallelWaveEvaluator
@@ -337,9 +335,8 @@ class TestParallelWaveEvaluator:
         parallel = run_sscm_analysis(
             _builder(), energy=1.0,
             max_variables_by_group={"doping": 3},
-            refinement=AdaptiveConfig(tol=1e-3, max_level=2,
-                                      workers=2),
-            problem_builder=_builder)
+            refinement=AdaptiveConfig(tol=1e-3, max_level=2),
+            workers=2, problem_builder=_builder)
         assert parallel.num_runs == serial.num_runs
         assert np.array_equal(parallel.sscm.pce.coefficients,
                               serial.sscm.pce.coefficients)
@@ -385,15 +382,15 @@ class TestCliOverlay:
 
     def test_workers_flag_reaches_adaptive_builds(self):
         """An adaptive spec + --workers: the knob flows through the
-        reduction level into the build (the adaptive block's own
-        workers entry, when present, wins)."""
+        reduction level into the build; the adaptive block carries
+        only the stopping controls."""
         from repro.__main__ import _overlay_adaptive
         from repro.experiments import table2_spec
 
         spec = table2_spec(rdf_nodes=8, adaptive={"tol": 1e-3})
         overlaid = _overlay_adaptive(spec, self._args(workers=4))
         kwargs = overlaid.analysis_kwargs()
-        assert kwargs["refinement"].workers is None
+        assert kwargs["refinement"] == AdaptiveConfig(tol=1e-3)
         assert kwargs["workers"] == 4
 
     def test_basis_flag_implies_adaptive(self):
@@ -436,11 +433,14 @@ class TestFindWarmStart:
         "termination": "tol",
     }
 
-    def _spec(self, preset="table2", adaptive=None, **params):
+    def _spec(self, preset="table2", adaptive=None, workers=None,
+              **params):
         from repro.serving import ProblemSpec
         reduction = {}
         if adaptive is not None:
             reduction["adaptive"] = adaptive
+        if workers is not None:
+            reduction["workers"] = workers
         return ProblemSpec(preset=preset, params=params,
                            reduction=reduction)
 
@@ -467,7 +467,7 @@ class TestFindWarmStart:
         store = SurrogateStore(tmp_path)
         stored = self._spec(adaptive={"tol": 1e-3}, margin_um=2.5)
         store.save(_tiny_record(stored, refinement=self.REFINEMENT))
-        target = self._spec(adaptive={"tol": 1e-3, "workers": 4},
+        target = self._spec(adaptive={"tol": 1e-3}, workers=4,
                             margin_um=2.6)
         found = store.find_warm_start(target)
         assert found is not None and found[0] == stored.cache_key()
@@ -679,6 +679,82 @@ class TestFindWarmStart:
         assert store.sidecar("0" * 64) is None
         with pytest.raises(ServingError):
             store.sidecar("not-a-key")
+
+
+class TestDesignatedWarmSource:
+    """A designated ``warm_source`` (the campaign chain's predecessor)
+    must pass exactly ``find_warm_start``'s sibling gate; otherwise the
+    build falls back to the store-wide search."""
+
+    REFINEMENT = TestFindWarmStart.REFINEMENT
+    _spec = TestFindWarmStart._spec
+
+    def _designate(self, store, target, reason):
+        """Store an entry unusable for ``reason``; return its key."""
+        near = {"adaptive": {"tol": 1e-3}, "margin_um": 2.55}
+        if reason == "own key":
+            return store.save(_tiny_record(target,
+                                           refinement=self.REFINEMENT))
+        if reason == "missing":
+            return "0" * 64
+        if reason == "damaged":
+            key = store.save(_tiny_record(self._spec(**near),
+                                          refinement=self.REFINEMENT))
+            path = store.root / f"{key}.json"
+            path.write_text(path.read_text()
+                            .replace('"tol":0.001', '"tol":0.002'))
+            return key
+        if reason == "non-seedable":
+            return store.save(_tiny_record(self._spec(**near)))
+        spec = {
+            "other preset": self._spec(preset="table1",
+                                       adaptive={"tol": 1e-3}),
+            "other reduction signature": self._spec(
+                adaptive={"tol": 1e-3, "max_level": 3},
+                margin_um=2.55),
+            "non-numeric param": self._spec(surface_model="naive",
+                                            **near),
+        }[reason]
+        return store.save(_tiny_record(spec, refinement=self.REFINEMENT))
+
+    @pytest.mark.parametrize("reason", [
+        "own key", "missing", "damaged", "non-seedable", "other preset",
+        "other reduction signature", "non-numeric param"])
+    def test_unusable_designated_source_falls_back(self, tmp_path,
+                                                   reason):
+        from repro.serving import SurrogateStore
+        from repro.serving.pipeline import _warm_start_for
+
+        store = SurrogateStore(tmp_path)
+        fallback = store.save(_tiny_record(
+            self._spec(adaptive={"tol": 1e-3}, margin_um=2.0),
+            refinement=self.REFINEMENT))
+        target = self._spec(adaptive={"tol": 1e-3}, margin_um=2.6)
+        designated = self._designate(store, target, reason)
+
+        assert store.designated_warm_start(target, designated) is None
+        seed = _warm_start_for(target, store, source_key=designated)
+        assert seed is not None and seed.source == fallback
+
+    def test_usable_designated_source_beats_nearer_sibling(self,
+                                                           tmp_path):
+        from repro.serving import SurrogateStore
+        from repro.serving.pipeline import _warm_start_for
+
+        store = SurrogateStore(tmp_path)
+        nearer = store.save(_tiny_record(
+            self._spec(adaptive={"tol": 1e-3}, margin_um=2.55),
+            refinement=self.REFINEMENT))
+        designated = store.save(_tiny_record(
+            self._spec(adaptive={"tol": 1e-3}, margin_um=2.0),
+            refinement=self.REFINEMENT))
+        target = self._spec(adaptive={"tol": 1e-3}, margin_um=2.6)
+
+        assert store.find_warm_start(target)[0] == nearer
+        found = store.designated_warm_start(target, designated)
+        assert found is not None and found[0] == designated
+        seed = _warm_start_for(target, store, source_key=designated)
+        assert seed.source == designated
 
 
 @pytest.fixture(scope="module")

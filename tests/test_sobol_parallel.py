@@ -105,16 +105,60 @@ class TestSobolOnPipeline:
             assert value[0] >= -1e-12
 
 
-def _builder():
+def _builder(variant="doping"):
     from repro.experiments import Table1Config, table1_problem
     from repro.geometry import MetalPlugDesign
     from repro.units import um
 
-    return table1_problem("doping", Table1Config(
+    return table1_problem(variant, Table1Config(
         design=MetalPlugDesign(max_step=um(2.0)), rdf_nodes=8))
 
 
+def _reference_mc(problem, num_runs, seed):
+    """Monte Carlo as a per-run, per-group Cholesky sampling loop.
+
+    The historical serial sampler, kept verbatim as the reference:
+    every run draws each group's standard normals in group order from
+    one ``default_rng(seed)`` stream.
+    """
+    from repro.variation.random_field import stable_cholesky
+
+    factors = {group.name: stable_cholesky(group.covariance)
+               for group in problem.groups}
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _ in range(num_runs):
+        xi = {group.name: factors[group.name]
+              @ rng.standard_normal(group.size)
+              for group in problem.groups}
+        rows.append(np.asarray(problem.evaluate_sample(xi),
+                               dtype=float).ravel())
+    values = np.vstack(rows)
+    return values.mean(axis=0), values.std(axis=0, ddof=1)
+
+
 class TestParallelDrivers:
+    @pytest.mark.parametrize("variant", ["doping", "both"])
+    def test_mc_equals_reference_sampling_loop_bitwise(self, variant):
+        """Serial and pooled MC, at any worker count, reproduce the
+        per-run, per-group sampling loop bit for bit."""
+        from functools import partial
+
+        from repro.analysis import run_mc_analysis
+        from repro.analysis.parallel import run_mc_parallel
+
+        mean, std = _reference_mc(_builder(variant), num_runs=6, seed=3)
+        serial = run_mc_analysis(_builder(variant), num_runs=6, seed=3)
+        assert np.array_equal(serial.mean, mean)
+        assert np.array_equal(serial.std, std)
+        for workers in (1, 2, 3):
+            parallel = run_mc_parallel(partial(_builder, variant),
+                                       num_runs=6, seed=3,
+                                       num_workers=workers)
+            assert parallel.num_runs == 6
+            assert np.array_equal(parallel.mean, mean), workers
+            assert np.array_equal(parallel.std, std), workers
+
     def test_parallel_mc_matches_serial_statistics(self):
         from repro.analysis import run_mc_analysis
         from repro.analysis.parallel import run_mc_parallel
@@ -125,9 +169,10 @@ class TestParallelDrivers:
                                    num_workers=2,
                                    output_names=["J"])
         assert parallel.num_runs == 24
-        # Different sample streams, same distribution: agree loosely.
-        assert parallel.mean[0] == pytest.approx(serial.mean[0],
-                                                 rel=0.01)
+        # One sample stream, row k is run k: identical statistics.
+        assert np.array_equal(parallel.mean, serial.mean)
+        assert np.array_equal(parallel.std, serial.std)
+        assert parallel.output_names == ["J"]
 
     def test_parallel_mc_validation(self):
         from repro.analysis.parallel import run_mc_parallel
