@@ -10,12 +10,16 @@ PFA at every budget — the weights rank the factors by *output*
 influence, which is the paper's entire argument for the weighting.
 """
 
-import numpy as np
+import os
+from functools import partial
+
 import pytest
 
 from repro.analysis import nominal_weights, run_mc_analysis
+from repro.analysis.parallel import evaluate_point
 from repro.experiments import table1_problem
 from repro.reporting import format_table
+from repro.stochastic import run_monte_carlo
 from repro.stochastic.reduction import reduce_groups
 
 from conftest import write_report
@@ -24,24 +28,26 @@ BUDGETS = (1, 2, 3)
 
 
 def _reduced_mc_std(problem, reduced_space, num_runs, seed):
-    rng = np.random.default_rng(seed)
-    values = [problem.evaluate_sample(
-        reduced_space.split(rng.standard_normal(reduced_space.dim)))[0]
-        for _ in range(num_runs)]
-    return float(np.std(values, ddof=1))
+    mc = run_monte_carlo(partial(evaluate_point, problem, reduced_space),
+                         reduced_space.dim, num_runs, seed=seed)
+    return float(mc.std[0])
 
 
 @pytest.mark.benchmark(group="ablation")
 def test_wpfa_vs_pfa(benchmark, profile, output_dir):
     settings = profile["table1"]
-    problem = table1_problem("doping", settings["config"]())
+    config = settings["config"]()
+    problem = table1_problem("doping", config)
     runs = max(60, settings["mc_runs"] // 3)
     holder = {}
 
     def run():
         weights = nominal_weights(problem)
-        holder["full"] = run_mc_analysis(problem, num_runs=runs,
-                                         seed=profile["mc_seed"]).std[0]
+        holder["full"] = run_mc_analysis(
+            problem, num_runs=runs, seed=profile["mc_seed"],
+            workers=os.cpu_count(),
+            problem_builder=partial(table1_problem, "doping",
+                                    config)).std[0]
         rows = []
         for budget in BUDGETS:
             caps = {"doping": budget}

@@ -20,7 +20,9 @@ Shape expectations asserted:
 * SSCM needs O(d^2) runs, far fewer than a converged MC.
 """
 
-import numpy as np
+import os
+from functools import partial
+
 import pytest
 
 from repro.analysis import (
@@ -28,7 +30,9 @@ from repro.analysis import (
     run_mc_analysis,
     run_sscm_analysis,
 )
+from repro.analysis.parallel import evaluate_point
 from repro.experiments import TABLE1_PAPER_VALUES, table1_problem
+from repro.stochastic import run_monte_carlo
 
 from conftest import write_report
 
@@ -37,20 +41,20 @@ VARIANTS = ("geometry", "doping", "both")
 
 def reduced_space_mc(problem, reduced_space, num_runs, seed):
     """MC over the reduced variables zeta ~ N(0, I_d)."""
-    rng = np.random.default_rng(seed)
-    values = [problem.evaluate_sample(
-        reduced_space.split(rng.standard_normal(reduced_space.dim)))
-        for _ in range(num_runs)]
-    values = np.vstack(values)
-    return values.mean(axis=0), values.std(axis=0, ddof=1)
+    mc = run_monte_carlo(partial(evaluate_point, problem, reduced_space),
+                         reduced_space.dim, num_runs, seed=seed)
+    return mc.mean, mc.std
 
 
 def _run_variant(variant, settings, seed):
-    problem = table1_problem(variant, settings["config"]())
+    config = settings["config"]()
+    problem = table1_problem(variant, config)
     sscm = run_sscm_analysis(problem, energy=0.95,
                              max_variables_by_group=settings["caps"])
     mc = run_mc_analysis(problem, num_runs=settings["mc_runs"],
-                         seed=seed)
+                         seed=seed, workers=os.cpu_count(),
+                         problem_builder=partial(table1_problem, variant,
+                                                 config))
     red_mean, red_std = reduced_space_mc(problem, sscm.reduced_space,
                                          settings["mc_runs"], seed)
     table = ComparisonTable.from_results(mc, sscm, unit_scale=1e-6,

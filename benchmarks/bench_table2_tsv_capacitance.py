@@ -15,7 +15,9 @@ expectations asserted:
 * SSCM run count matches the paper's O(d^2) collocation economy.
 """
 
-import numpy as np
+import os
+from functools import partial
+
 import pytest
 
 from repro.analysis import (
@@ -23,11 +25,13 @@ from repro.analysis import (
     run_mc_analysis,
     run_sscm_analysis,
 )
+from repro.analysis.parallel import evaluate_point
 from repro.experiments import (
     TABLE2_PAPER_VALUES,
     TABLE2_ROW_NAMES,
     table2_problem,
 )
+from repro.stochastic import run_monte_carlo
 from repro.stochastic.sparse_grid import paper_point_count
 
 from conftest import write_report
@@ -36,7 +40,8 @@ from conftest import write_report
 @pytest.mark.benchmark(group="table2")
 def test_table2_tsv_capacitance(benchmark, profile, output_dir):
     settings = profile["table2"]
-    problem = table2_problem(settings["config"]())
+    config = settings["config"]()
+    problem = table2_problem(config)
     caps = {}
     for group in problem.geometry_groups:
         caps[group.name] = (settings["caps_merged"]
@@ -51,15 +56,15 @@ def test_table2_tsv_capacitance(benchmark, profile, output_dir):
             problem, energy=0.99, max_variables_by_group=caps)
         holder["mc"] = run_mc_analysis(
             problem, num_runs=settings["mc_runs"],
-            seed=profile["mc_seed"])
+            seed=profile["mc_seed"], workers=os.cpu_count(),
+            problem_builder=partial(table2_problem, config))
         # Reduced-space MC: the quadratic-model-only comparison.
-        rng = np.random.default_rng(profile["mc_seed"])
         space = holder["sscm"].reduced_space
-        values = np.vstack([problem.evaluate_sample(
-            space.split(rng.standard_normal(space.dim)))
-            for _ in range(settings["mc_runs"])])
-        holder["red_mean"] = values.mean(axis=0)
-        holder["red_std"] = values.std(axis=0, ddof=1)
+        reduced = run_monte_carlo(partial(evaluate_point, problem, space),
+                                  space.dim, settings["mc_runs"],
+                                  seed=profile["mc_seed"])
+        holder["red_mean"] = reduced.mean
+        holder["red_std"] = reduced.std
         return holder
 
     benchmark.pedantic(run, rounds=1, iterations=1)

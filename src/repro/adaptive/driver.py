@@ -6,12 +6,13 @@ instead grows a downward-closed index set one index at a time, always
 refining the direction with the largest surplus indicator, until the
 global error estimate drops under ``tol`` or the solve budget runs
 out.  Each accepted index opens a *wave* of admissible neighbors; the
-wave's new collocation points are collected and handed to the
-``solve_many`` hook in a single call when one is supplied (the
-runner's ``workers`` knob fans exactly that call over the
-``analysis.parallel`` process pool — see
-:class:`~repro.analysis.parallel.ParallelWaveEvaluator`), falling back
-to a per-point loop in which every solve still rides the
+wave's new collocation points are collected and evaluated together by
+:func:`~repro.stochastic.sampling.evaluate_points`: in a single call
+of the ``solve_many`` hook when one is supplied (the runner's
+``workers`` knob fans exactly that call over the ``analysis.parallel``
+process pool — see
+:class:`~repro.analysis.parallel.ParallelWaveEvaluator`), else by a
+per-point loop in which every solve still rides the
 multi-port/factorization-reuse paths inside ``evaluate_sample``.
 
 A build can also be *warm-started* from a previous one: a
@@ -46,6 +47,7 @@ from repro.errors import StochasticError
 from repro.obs.trace import span
 from repro.stochastic.hermite import HermiteBasis
 from repro.stochastic.pce import PolynomialChaos
+from repro.stochastic.sampling import evaluate_points
 from repro.stochastic.sparse_grid import SparseGrid
 from repro.adaptive.grid import IncrementalGrid
 from repro.adaptive.indices import MultiIndexSet
@@ -378,8 +380,12 @@ def combination_projection(grid: IncrementalGrid, values: np.ndarray,
     Marzouk's adaptive pseudospectral construction, is to project *per
     tensor rule* onto only the basis terms that rule resolves without
     aliasing (1-D degree < rule size) and sum with the combination
-    coefficients; for the complete level-2 simplex this reproduces the
-    classic Smolyak projection exactly.
+    coefficients.  On the complete level-2 simplex this reproduces the
+    classic (global) Smolyak projection only for QoIs every member rule
+    integrates exactly against its retained terms — quadratics, for
+    instance.  Otherwise the per-tensor truncation sees a different
+    aliasing than the global projection: at d = 4 the coefficients of
+    ``exp(0.1 z0) (1 + z1^2)`` differ by 2.5e-3 between the two.
 
     The same per-tensor caps serve any basis: the paper's fixed order-2
     truncation, or the order-adaptive basis
@@ -476,7 +482,7 @@ def _warm_drift(warm_start: WarmStart, seeds, surpluses,
 
 def run_adaptive_sscm(solve_fn, dim: int, config: AdaptiveConfig = None,
                       output_names=None, order: int = 2,
-                      solve_many=None, progress=None,
+                      solve_many=None,
                       warm_start: WarmStart = None) -> AdaptiveResult:
     """Build the quadratic chaos by dimension-adaptive collocation.
 
@@ -498,9 +504,6 @@ def run_adaptive_sscm(solve_fn, dim: int, config: AdaptiveConfig = None,
         :class:`~repro.analysis.parallel.ParallelWaveEvaluator`, which
         the runner wires in for ``workers > 1``).  Defaults to a row
         loop over ``solve_fn``.
-    progress:
-        Optional callable ``(solves_done, max_solves or -1)`` invoked
-        after every evaluated wave.
     warm_start:
         Optional :class:`WarmStart` seeding the index set with a
         previous build's accepted indices.  When the seeded surpluses
@@ -517,33 +520,22 @@ def run_adaptive_sscm(solve_fn, dim: int, config: AdaptiveConfig = None,
     config = config or AdaptiveConfig()
     grid = IncrementalGrid(dim)
     index_set = MultiIndexSet(dim)
-    values_rows = []
+    values = None
     trace = []
     start = time.perf_counter()
 
     def evaluate_wave(points: np.ndarray) -> None:
+        # Appends the wave's rows to `values`, in grid point order.
+        nonlocal values
         if points.shape[0] == 0:
             return
         with span("wave", points=int(points.shape[0])):
-            if solve_many is not None:
-                block = np.asarray(solve_many(points), dtype=float)
-                block = np.atleast_2d(block)
-                if block.shape[0] != points.shape[0]:
-                    raise StochasticError(
-                        f"solve_many returned {block.shape[0]} rows "
-                        f"for {points.shape[0]} points")
-                values_rows.extend(block)
-            else:
-                for point in points:
-                    values_rows.append(np.atleast_1d(
-                        np.asarray(solve_fn(point), dtype=float)))
-        if progress is not None:
-            progress(len(values_rows), config.max_solves or -1)
+            block = evaluate_points(solve_fn, points, solve_many)
+        values = block if values is None else np.vstack([values, block])
 
     # Root index: the nominal collocation point.
     root = (0,) * dim
     evaluate_wave(grid.register(root))
-    values = np.vstack(values_rows)
     pivot = values[0].copy()
 
     def augmented(block: np.ndarray) -> np.ndarray:
@@ -577,7 +569,7 @@ def run_adaptive_sscm(solve_fn, dim: int, config: AdaptiveConfig = None,
         # the solve budget, evaluated in a single batched call (the
         # parallel seam), its surpluses activated one by one.  Returns
         # whether the budget clipped the wave.
-        nonlocal values, watched, estimate
+        nonlocal watched, estimate
         wave, budget_hit = [], False
         planned = grid.num_points
         for candidate in candidates:
@@ -594,7 +586,6 @@ def run_adaptive_sscm(solve_fn, dim: int, config: AdaptiveConfig = None,
         if wave:
             evaluate_wave(np.vstack(
                 [grid.register(candidate) for candidate in wave]))
-            values = np.vstack(values_rows)
             watched = augmented(values)
         for candidate in wave:
             surplus = difference_quadrature(grid, watched, candidate)
@@ -625,7 +616,6 @@ def run_adaptive_sscm(solve_fn, dim: int, config: AdaptiveConfig = None,
         new_blocks = [block for block in new_blocks if block.shape[0]]
         if new_blocks:
             evaluate_wave(np.vstack(new_blocks))
-            values = np.vstack(values_rows)
             watched = augmented(values)
         for index in seeds:
             surplus = difference_quadrature(grid, watched, index)

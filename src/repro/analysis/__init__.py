@@ -4,7 +4,8 @@ A :class:`~repro.analysis.problem.VariationalProblem` bundles a
 structure, its perturbation groups and a quantity of interest; the
 runner executes the full pipeline: nominal solve, wPFA weights, per-group
 reduction, sparse-grid collocation (SSCM), and the Monte-Carlo
-reference.
+reference — serially or, with ``workers > 1``, over the one
+:class:`~repro.analysis.parallel.ParallelWaveEvaluator` pool.
 """
 
 from repro.analysis.problem import VariationalProblem
@@ -24,10 +25,7 @@ from repro.analysis.runner import (
 )
 from repro.analysis.results import ComparisonTable
 from repro.analysis.speedup import SpeedupReport
-from repro.analysis.parallel import (
-    ParallelWaveEvaluator,
-    run_mc_parallel,
-)
+from repro.analysis.parallel import ParallelWaveEvaluator
 
 __all__ = [
     "VariationalProblem",
@@ -44,5 +42,4 @@ __all__ = [
     "ComparisonTable",
     "SpeedupReport",
     "ParallelWaveEvaluator",
-    "run_mc_parallel",
 ]

@@ -4,10 +4,11 @@ The paper's conclusion names parallel computing as the planned remedy
 for the "several hours" a typical variational run costs.  Both
 stochastic drivers are embarrassingly parallel over samples, so this
 module fans the deterministic solves out over one pool,
-:class:`ParallelWaveEvaluator`: the fixed grid and every adaptive wave
-of ``run_sscm_analysis(workers=)`` and the Monte-Carlo rows of
-:func:`run_mc_parallel`.  Serial or pooled, every sample is one
-:func:`evaluate_point` call, so pooled runs are bitwise-identical.
+:class:`ParallelWaveEvaluator`: the fixed grid, every adaptive wave and
+the Monte-Carlo rows, whenever ``run_sscm_analysis`` or
+``run_mc_analysis`` is given ``workers > 1``.  Serial or pooled, every
+sample is one :func:`evaluate_point` call, so pooled runs are
+bitwise-identical.
 
 Workers receive a *picklable problem builder* (e.g.
 ``functools.partial(table1_problem, "both", config)``) rather than the
@@ -24,12 +25,13 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import numpy as np
 
 from repro.errors import StochasticError
 from repro.obs.trace import get_tracer
-from repro.stochastic.montecarlo import MonteCarloResult
+from repro.stochastic.sampling import evaluate_points
 from repro.variation.random_field import stable_cholesky
 
 _WORKER_STATE = {}
@@ -73,10 +75,9 @@ def _worker_wave_chunk(points):
     # platforms, so the window is comparable with the parent tracer's
     # origin.
     start = time.perf_counter()
-    problem = _WORKER_STATE["problem"]
-    space = _WORKER_STATE["space"]
-    block = np.vstack([evaluate_point(problem, space, zeta)
-                       for zeta in points])
+    block = evaluate_points(partial(evaluate_point,
+                                    _WORKER_STATE["problem"],
+                                    _WORKER_STATE["space"]), points)
     end = time.perf_counter()
     return block, {"start": start, "end": end, "pid": os.getpid(),
                    "points": int(points.shape[0])}
@@ -108,7 +109,7 @@ class ParallelWaveEvaluator:
         :class:`FullCovarianceSpace` (every process maps points
         through the same matrices).
     num_workers:
-        Process count (default: up to 8, bounded by the CPU count).
+        Process count (at least 1).
 
     Notes
     -----
@@ -117,10 +118,7 @@ class ParallelWaveEvaluator:
     evaluator.
     """
 
-    def __init__(self, problem_builder, reduced_space,
-                 num_workers: int = None):
-        if num_workers is None:
-            num_workers = max(1, min(8, os.cpu_count() or 1))
+    def __init__(self, problem_builder, reduced_space, num_workers: int):
         if num_workers < 1:
             raise StochasticError(
                 f"num_workers must be >= 1, got {num_workers}")
@@ -176,42 +174,3 @@ class ParallelWaveEvaluator:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
 
-
-def run_mc_parallel(problem_builder, num_runs: int, seed: int = 0,
-                    num_workers: int = None,
-                    output_names=None) -> MonteCarloResult:
-    """Monte Carlo with worker processes (full-covariance sampling).
-
-    Parameters
-    ----------
-    problem_builder:
-        Zero-argument picklable callable returning the
-        :class:`~repro.analysis.problem.VariationalProblem` (e.g. a
-        ``functools.partial`` over an experiment preset).
-    num_runs:
-        Total sample count, split evenly across workers.
-    seed:
-        Seed of the one ``default_rng`` stream all runs are drawn
-        from, so the result is bitwise the serial
-        :func:`~repro.analysis.runner.run_mc_analysis` answer for any
-        worker count.
-    num_workers:
-        Process count (default: up to 8, bounded by the CPU count).
-    """
-    if num_runs < 2:
-        raise StochasticError(f"num_runs must be >= 2, got {num_runs}")
-    space = FullCovarianceSpace(problem_builder().groups)
-    points = np.random.default_rng(seed).standard_normal(
-        (num_runs, space.dim))
-    start = time.perf_counter()
-    with ParallelWaveEvaluator(problem_builder, space,
-                               num_workers=num_workers) as evaluate:
-        values = evaluate(points)
-    wall = time.perf_counter() - start
-    return MonteCarloResult(
-        mean=values.mean(axis=0),
-        std=values.std(axis=0, ddof=1),
-        num_runs=values.shape[0],
-        wall_time=wall,
-        output_names=list(output_names) if output_names else None,
-    )

@@ -5,11 +5,14 @@ paper's fixed level-2 Smolyak grid or — when a
 :class:`~repro.adaptive.driver.AdaptiveConfig` is passed as
 ``refinement`` — through the dimension-adaptive engine, which spends
 solves only on the stochastic directions whose surplus indicators say
-they matter.
+they matter.  ``run_mc_analysis`` is the full-covariance Monte-Carlo
+reference.  Both take the same ``workers`` / ``problem_builder`` pair,
+resolved to a ``solve_many`` hook by one helper.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 
@@ -105,8 +108,7 @@ def run_sscm_analysis(problem: VariationalProblem, method: str = "wpfa",
                       refinement: AdaptiveConfig = None,
                       problem_builder=None,
                       warm_start: WarmStart = None,
-                      workers: int = None,
-                      progress=None) -> AnalysisResult:
+                      workers: int = None) -> AnalysisResult:
     """Full SSCM pipeline (paper Sections II.B + III.C).
 
     1. Solve the nominal structure and derive the wPFA weights.
@@ -161,8 +163,6 @@ def run_sscm_analysis(problem: VariationalProblem, method: str = "wpfa",
         loop either way, ~cores less wall time).  Pure execution
         policy — never part of a spec cache key — and it requires
         ``problem_builder`` when above 1.
-    progress : callable, optional
-        ``(completed, total)`` callback for the collocation loop.
 
     Returns
     -------
@@ -182,17 +182,7 @@ def run_sscm_analysis(problem: VariationalProblem, method: str = "wpfa",
         raise StochasticError(
             "warm_start only applies to adaptive builds; pass a "
             "refinement config")
-    if workers is not None \
-            and (not isinstance(workers, int) or isinstance(workers, bool)
-                 or workers < 1):
-        raise StochasticError(
-            f"workers must be a positive integer or None, "
-            f"got {workers!r}")
-    if workers is not None and workers > 1 and problem_builder is None:
-        raise StochasticError(
-            "workers > 1 needs a picklable problem_builder "
-            "so worker processes can rebuild the problem (e.g. "
-            "functools.partial over a preset, or spec.build_problem)")
+    open_evaluator = _wave_evaluator(workers, problem_builder)
     weights = None
     if method == "wpfa":
         with span("nominal_solve"):
@@ -203,29 +193,20 @@ def run_sscm_analysis(problem: VariationalProblem, method: str = "wpfa",
             energy=energy, max_variables_by_group=max_variables_by_group)
 
     solve_fn = partial(evaluate_point, problem, reduced_space)
-    evaluator = None
-    if workers is not None and workers > 1:
-        evaluator = ParallelWaveEvaluator(
-            problem_builder, reduced_space, num_workers=workers)
-    try:
+    with open_evaluator(reduced_space) as solve_many:
         if refinement is not None:
             sscm = run_adaptive_sscm(solve_fn, reduced_space.dim,
                                      config=refinement,
                                      output_names=problem.qoi_names,
-                                     solve_many=evaluator,
-                                     warm_start=warm_start,
-                                     progress=progress)
+                                     solve_many=solve_many,
+                                     warm_start=warm_start)
         else:
             # The fixed grid is one big wave: the same evaluator that
             # fans adaptive refinement waves digests it whole,
             # bitwise-identical to the serial loop.
             sscm = run_sscm(solve_fn, reduced_space.dim,
                             output_names=problem.qoi_names, level=level,
-                            fit=fit, progress=progress,
-                            solve_many=evaluator)
-    finally:
-        if evaluator is not None:
-            evaluator.close()
+                            fit=fit, solve_many=solve_many)
     return AnalysisResult(sscm=sscm, reduced_space=reduced_space)
 
 
@@ -236,22 +217,50 @@ run_problem = run_sscm_analysis
 
 def run_mc_analysis(problem: VariationalProblem, num_runs: int,
                     seed: int = 0, keep_samples: bool = False,
-                    progress=None) -> MonteCarloResult:
+                    workers: int = None,
+                    problem_builder=None) -> MonteCarloResult:
     """Monte-Carlo reference on the *full* correlated variables.
 
     Unlike the SSCM path this samples every group from its complete
     covariance (no reduction), exactly as the paper's 10000-run MC
     benchmark does, so the comparison includes the (w)PFA truncation
-    error.  Run ``k`` draws one standard-normal vector over all
-    groups; :func:`~repro.analysis.parallel.run_mc_parallel` draws the
-    same rows and returns the same answer bitwise.
+    error.  Run ``k`` is row ``k`` of one ``default_rng(seed)`` draw
+    over all groups' standard normals; ``workers`` / ``problem_builder``
+    fan the runs over a worker pool exactly as in
+    :func:`run_sscm_analysis`, with the same bits at any worker count.
     """
+    open_evaluator = _wave_evaluator(workers, problem_builder)
     space = FullCovarianceSpace(problem.groups)
+    with open_evaluator(space) as solve_many:
+        return run_monte_carlo(partial(evaluate_point, problem, space),
+                               space.dim, num_runs, seed=seed,
+                               output_names=problem.qoi_names,
+                               keep_samples=keep_samples,
+                               solve_many=solve_many)
 
-    def sample_fn(rng):
-        return evaluate_point(problem, space,
-                              rng.standard_normal(space.dim))
 
-    return run_monte_carlo(sample_fn, num_runs, seed=seed,
-                           output_names=problem.qoi_names,
-                           keep_samples=keep_samples, progress=progress)
+def _wave_evaluator(workers, problem_builder):
+    """The runners' one ``workers`` seam.
+
+    Validates ``workers`` and ``problem_builder`` before any solve and
+    returns an opener ``space -> context manager`` whose value is the
+    drivers' ``solve_many`` hook: ``None`` (the serial per-point loop)
+    for ``workers`` of ``None`` or 1, else a
+    :class:`~repro.analysis.parallel.ParallelWaveEvaluator` over
+    ``workers`` processes, shut down when the ``with`` block exits.
+    """
+    if workers is not None \
+            and (not isinstance(workers, int) or isinstance(workers, bool)
+                 or workers < 1):
+        raise StochasticError(
+            f"workers must be a positive integer or None, "
+            f"got {workers!r}")
+    if workers is None or workers == 1:
+        return lambda space: nullcontext()
+    if problem_builder is None:
+        raise StochasticError(
+            "workers > 1 needs a picklable problem_builder "
+            "so worker processes can rebuild the problem (e.g. "
+            "functools.partial over a preset, or spec.build_problem)")
+    return partial(ParallelWaveEvaluator, problem_builder,
+                   num_workers=workers)

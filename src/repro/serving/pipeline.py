@@ -136,8 +136,7 @@ def _warm_start_for(spec: ProblemSpec, store: SurrogateStore,
     return seed
 
 
-def build_surrogate(spec: ProblemSpec, progress=None,
-                    store: SurrogateStore = None,
+def build_surrogate(spec: ProblemSpec, store: SurrogateStore = None,
                     warm_start: bool = True,
                     warm_source: str = None) -> SurrogateRecord:
     """Run the SSCM pipeline for a spec and wrap the result.
@@ -154,8 +153,6 @@ def build_surrogate(spec: ProblemSpec, progress=None,
     ----------
     spec : ProblemSpec
         The surrogate identity to build.
-    progress : callable, optional
-        ``(completed, total)`` collocation callback.
     store : SurrogateStore, optional
         Consulted (read-only) for a warm-start seed; nothing is
         persisted here.
@@ -185,7 +182,7 @@ def build_surrogate(spec: ProblemSpec, progress=None,
         with span("warm_start_lookup"):
             seed = _warm_start_for(spec, store,
                                    source_key=warm_source)
-    analysis = run_sscm_analysis(problem, progress=progress,
+    analysis = run_sscm_analysis(problem,
                                  problem_builder=spec.build_problem,
                                  warm_start=seed, **kwargs)
     return SurrogateRecord(
@@ -202,8 +199,7 @@ def build_surrogate(spec: ProblemSpec, progress=None,
 
 def ensure_surrogate(spec: ProblemSpec, store: SurrogateStore,
                      rebuild: bool = False, warm_start: bool = True,
-                     warm_source: str = None,
-                     progress=None) -> BuildReport:
+                     warm_source: str = None) -> BuildReport:
     """Return the stored surrogate for ``spec``, building it on a miss.
 
     Parameters
@@ -226,9 +222,6 @@ def ensure_surrogate(spec: ProblemSpec, store: SurrogateStore,
         Cache key of a designated warm-start predecessor to try
         before the store-wide sibling search (see
         :func:`build_surrogate`).  A hit never consults it.
-    progress : callable, optional
-        ``(completed, total)`` callback for the collocation loop of a
-        cold build.
 
     Returns
     -------
@@ -293,7 +286,7 @@ def ensure_surrogate(spec: ProblemSpec, store: SurrogateStore,
         with activate(tracer), \
                 tracer.span("build", cache_key=key) as build_span:
             record = build_surrogate(
-                spec, progress=progress, store=store,
+                spec, store=store,
                 warm_start=warm_start and not rebuild,
                 warm_source=warm_source)
             solve_names = ("nominal_solve", "collocation", "wave")

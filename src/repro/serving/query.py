@@ -74,6 +74,19 @@ class QueryEngine:
         return self.pce.variance
 
     # ------------------------------------------------------------------
+    def _num_samples(self, num_samples) -> int:
+        """The one per-query sample-count rule: ``None`` means the
+        engine default, anything else must be an integer (not a bool)
+        of at least 2, the constructor's bound."""
+        if num_samples is None:
+            return self.num_samples
+        if not isinstance(num_samples, (int, np.integer)) \
+                or isinstance(num_samples, bool) or num_samples < 2:
+            raise ServingError(
+                f"malformed num_samples {num_samples!r}: need an "
+                f"integer >= 2")
+        return int(num_samples)
+
     def sample(self, num_samples: int = None,
                seed: int = None) -> np.ndarray:
         """Raw ``(m, output_dim)`` surrogate samples (chunked eval).
@@ -83,7 +96,7 @@ class QueryEngine:
         a yield, ...) evaluate the surrogate once.  Treat the returned
         array as read-only.
         """
-        m = self.num_samples if num_samples is None else int(num_samples)
+        m = self._num_samples(num_samples)
         s = self.seed if seed is None else int(seed)
         if self._cached_for != (m, s):
             rng = np.random.default_rng(s)
@@ -148,10 +161,8 @@ class QueryEngine:
                seed: int = None) -> np.ndarray:
         limit = np.broadcast_to(
             np.asarray(limit, dtype=float), (self.pce.output_dim,))
-        m = self.num_samples if num_samples is None else int(num_samples)
+        m = self._num_samples(num_samples)
         s = self.seed if seed is None else int(seed)
-        if m < 1:
-            raise ServingError(f"num_samples must be >= 1, got {m}")
         if self._cached_for == (m, s):
             # Same stream as a fresh draw — reuse instead of redrawing.
             counts = (self._cached_samples > limit).sum(axis=0)
@@ -259,11 +270,11 @@ class QueryEngine:
             values = {"low": corner["low"].tolist(),
                       "high": corner["high"].tolist()}
         elif kind == "sample_statistics":
-            m = self.num_samples if num_samples is None else int(num_samples)
             rng = np.random.default_rng(
                 self.seed if seed is None else seed)
             mean, std = self.pce.sample_statistics(
-                rng, num_samples=m, chunk_size=self.chunk_size)
+                rng, num_samples=self._num_samples(num_samples),
+                chunk_size=self.chunk_size)
             values = {"mean": mean.tolist(), "std": std.tolist()}
         else:
             raise ServingError(f"unknown query kind {kind!r}")

@@ -3,7 +3,8 @@
 Hermite polynomial chaos (Section II.B), sparse-grid Gauss-Hermite
 collocation after Zhu et al., PFA / weighted-PFA variable reduction
 (Section III.C), the SSCM driver that builds the quadratic statistical
-model, and the Monte-Carlo reference driver.
+model, and the Monte-Carlo reference driver — both evaluating the
+solver through the one sample loop, ``evaluate_points``.
 """
 
 from repro.stochastic.hermite import (
@@ -25,6 +26,7 @@ from repro.stochastic.pce import PolynomialChaos, QuadraticPCE
 from repro.stochastic.pfa import pfa_reduce, ReductionMap
 from repro.stochastic.wpfa import wpfa_reduce
 from repro.stochastic.reduction import ReducedSpace, reduce_groups
+from repro.stochastic.sampling import evaluate_points
 from repro.stochastic.sscm import SSCMResult, run_sscm
 from repro.stochastic.montecarlo import MonteCarloResult, run_monte_carlo
 from repro.stochastic.sobol import (
@@ -53,6 +55,7 @@ __all__ = [
     "ReductionMap",
     "ReducedSpace",
     "reduce_groups",
+    "evaluate_points",
     "SSCMResult",
     "run_sscm",
     "MonteCarloResult",

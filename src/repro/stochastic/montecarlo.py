@@ -2,9 +2,11 @@
 
 The paper validates the SSCM statistics against a 10000-run Monte-Carlo
 simulation on the *same* deterministic solver, sampling the full
-(unreduced) correlated variables.  This driver does exactly that; the
-run count is a parameter because the 1/sqrt(N) convergence makes the
-full 10000 unnecessary for shape checks.
+(unreduced) correlated variables.  This driver draws the standard
+normals (``run_mc_analysis`` maps them through each group's full
+covariance factor); the run count is a parameter because the
+1/sqrt(N) convergence makes the full 10000 unnecessary for shape
+checks.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import StochasticError
+from repro.stochastic.sampling import evaluate_points
 
 
 @dataclass
@@ -33,45 +36,24 @@ class MonteCarloResult:
         return self.std / np.sqrt(self.num_runs)
 
 
-def run_monte_carlo(sample_fn, num_runs: int, seed: int = 0,
+def run_monte_carlo(solve_fn, dim: int, num_runs: int, seed: int = 0,
                     output_names=None, keep_samples: bool = False,
-                    progress=None) -> MonteCarloResult:
-    """Plain Monte Carlo over a sampling function.
+                    solve_many=None) -> MonteCarloResult:
+    """Plain Monte Carlo over ``dim`` independent standard normals.
 
-    Parameters
-    ----------
-    sample_fn:
-        Callable ``rng -> QoI vector``; draws its own random inputs from
-        the provided generator and runs one deterministic solve.
-    num_runs:
-        Number of samples (the paper uses 10000).
-    seed:
-        Seed of the :class:`numpy.random.Generator` driving the run.
-    keep_samples:
-        Retain the raw ``(num_runs, k)`` sample matrix (for histograms
-        and convergence studies).
-    progress:
-        Optional callable ``(completed, total) -> None``.
+    The ``(num_runs, dim)`` inputs are one draw of
+    ``default_rng(seed)`` (row ``k`` is run ``k``), evaluated as one
+    wave by :func:`~repro.stochastic.sampling.evaluate_points` exactly
+    as :func:`~repro.stochastic.sscm.run_sscm` evaluates its grid:
+    ``solve_fn`` maps one point to its QoI vector, ``solve_many``
+    (optional) all points at once.  ``keep_samples`` retains the raw
+    ``(num_runs, k)`` matrix (for histograms and convergence studies).
     """
     if num_runs < 2:
         raise StochasticError(f"num_runs must be >= 2, got {num_runs}")
-    rng = np.random.default_rng(seed)
-    values = None
+    points = np.random.default_rng(seed).standard_normal((num_runs, dim))
     start = time.perf_counter()
-    for k in range(num_runs):
-        # ravel keeps the historically-accepted (1, k) row vectors.
-        sample = np.asarray(sample_fn(rng), dtype=float).ravel()
-        if values is None:
-            # The QoI width is only known after the first evaluation;
-            # preallocate the full matrix then instead of growing a list.
-            values = np.empty((num_runs, sample.size))
-        if sample.shape != (values.shape[1],):
-            raise StochasticError(
-                f"sample_fn returned shape {sample.shape} on run {k}, "
-                f"expected ({values.shape[1]},)")
-        values[k] = sample
-        if progress is not None:
-            progress(k + 1, num_runs)
+    values = evaluate_points(solve_fn, points, solve_many)
     wall = time.perf_counter() - start
     return MonteCarloResult(
         mean=values.mean(axis=0),

@@ -17,6 +17,7 @@ from repro.errors import StochasticError
 from repro.obs.trace import span
 from repro.stochastic.hermite import HermiteBasis
 from repro.stochastic.pce import PolynomialChaos
+from repro.stochastic.sampling import evaluate_points
 from repro.stochastic.sparse_grid import SparseGrid, smolyak_sparse_grid
 
 
@@ -56,8 +57,7 @@ class SSCMResult:
 
 def run_sscm(solve_fn, dim: int, output_names=None, order: int = 2,
              level: int = 2, grid: SparseGrid = None,
-             fit: str = "quadrature", progress=None,
-             solve_many=None) -> SSCMResult:
+             fit: str = "quadrature", solve_many=None) -> SSCMResult:
     """Build the quadratic statistical model by sparse-grid collocation.
 
     Parameters
@@ -78,11 +78,10 @@ def run_sscm(solve_fn, dim: int, output_names=None, order: int = 2,
     fit:
         ``"quadrature"`` (spectral projection, the paper's method) or
         ``"regression"`` (least squares on the same points).
-    progress:
-        Optional callable ``(completed, total) -> None``.
     solve_many:
         Optional batched evaluator ``(n, dim) points -> (n, outputs)``
-        — the whole fixed grid is one wave, so a
+        — the whole fixed grid is one wave for
+        :func:`~repro.stochastic.sampling.evaluate_points`, so a
         :class:`~repro.analysis.parallel.ParallelWaveEvaluator` plugs
         in unchanged (bitwise-identical to the per-point loop, which
         stays the default).
@@ -95,23 +94,7 @@ def run_sscm(solve_fn, dim: int, output_names=None, order: int = 2,
     start = time.perf_counter()
     total = grid.num_points
     with span("collocation", points=total):
-        if solve_many is not None:
-            values = np.atleast_2d(np.asarray(solve_many(grid.points),
-                                              dtype=float))
-            if values.shape[0] != total:
-                raise StochasticError(
-                    f"solve_many returned {values.shape[0]} rows for "
-                    f"{total} points")
-            if progress is not None:
-                progress(total, total)
-        else:
-            values = []
-            for k, point in enumerate(grid.points):
-                values.append(np.atleast_1d(np.asarray(solve_fn(point),
-                                                       dtype=float)))
-                if progress is not None:
-                    progress(k + 1, total)
-            values = np.vstack(values)
+        values = evaluate_points(solve_fn, grid.points, solve_many)
     wall = time.perf_counter() - start
 
     basis = HermiteBasis(dim, order=order)

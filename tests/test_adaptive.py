@@ -1,10 +1,11 @@
 """Tests of the dimension-adaptive collocation engine.
 
 The engine must (a) reproduce the fixed level-2 Smolyak answer exactly
-when allowed to exhaust the level-2 simplex, (b) beat it decisively on
-anisotropic problems, (c) respect its budget controls, and (d) flow
-through the serving layer: adaptive specs get distinct cache keys and
-replay from the store with zero solves, refinement provenance intact.
+on quadratic QoIs when allowed to exhaust the level-2 simplex, (b) beat
+it decisively on anisotropic problems, (c) respect its budget controls,
+and (d) flow through the serving layer: adaptive specs get distinct
+cache keys and replay from the store with zero solves, refinement
+provenance intact.
 """
 
 from itertools import product
@@ -320,6 +321,29 @@ class TestAdaptiveDriver:
         assert result.mean[0] == pytest.approx(mean, rel=1e-10)
         assert result.std[0] == pytest.approx(np.sqrt(var), rel=1e-10)
 
+    def test_exhausted_level2_differs_from_fixed_grid_off_polynomials(
+            self):
+        """Same 49 points, different projection: the per-tensor
+        truncation only matches the global Smolyak projection on QoIs
+        the member rules integrate exactly, which is why the fixed grid
+        is not run as an exhausted adaptive build."""
+        d = 4
+
+        def f(z):
+            # The small linear terms keep every direction live, so the
+            # build exhausts the simplex instead of certifying early.
+            return np.array([np.exp(0.1 * z[0]) * (1.0 + z[1] ** 2)
+                             + 0.01 * (z[2] + z[3])])
+
+        result = run_adaptive_sscm(f, d,
+                                   AdaptiveConfig(tol=0.0, max_level=2))
+        reference = run_sscm(f, d)
+        assert result.termination == "exhausted"
+        assert result.num_runs == reference.num_runs
+        gap = np.abs(result.pce.coefficients
+                     - reference.pce.coefficients).max()
+        assert gap > 1e-6
+
     def test_anisotropic_needs_far_fewer_solves(self):
         d = 8
         f, mean, var = anisotropic_problem(d)
@@ -378,15 +402,6 @@ class TestAdaptiveDriver:
         # The first refinement wave batches all d direction probes.
         assert waves[1] == 2 * d
         assert result.mean[0] == pytest.approx(mean, rel=1e-10)
-
-    def test_progress_reports_solves(self):
-        calls = []
-        f, _, _ = quadratic_problem(2)
-        run_adaptive_sscm(f, 2, AdaptiveConfig(tol=0.0, max_level=2),
-                          progress=lambda done, cap: calls.append(
-                              (done, cap)))
-        assert calls[-1][0] == smolyak_sparse_grid(2).num_points
-        assert all(cap == -1 for _, cap in calls)
 
     def test_refinement_metadata_is_json_serializable(self):
         import json

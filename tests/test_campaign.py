@@ -251,7 +251,7 @@ class TestExecutor:
         calls = []
 
         def fake_ensure(spec, store, rebuild=False, warm_start=True,
-                        warm_source=None, progress=None):
+                        warm_source=None):
             calls.append((spec.cache_key(), warm_source))
             return _fake_report(
                 True, num_solves=5, warm_source=warm_source,
@@ -276,7 +276,7 @@ class TestExecutor:
     def test_one_failure_never_sinks_the_sweep(
             self, tmp_path, monkeypatch):
         def fake_ensure(spec, store, rebuild=False, warm_start=True,
-                        warm_source=None, progress=None):
+                        warm_source=None):
             if spec.params["sigma_m"] == 0.11:
                 raise ServingError("diverged")
             return _fake_report(True, num_solves=3)
@@ -297,15 +297,14 @@ class TestExecutor:
         built = set()
 
         def dying_ensure(spec, store, rebuild=False, warm_start=True,
-                         warm_source=None, progress=None):
+                         warm_source=None):
             if len(built) == 2:
                 raise KeyboardInterrupt
             built.add(spec.cache_key())
             return _fake_report(True, num_solves=4)
 
         def resuming_ensure(spec, store, rebuild=False,
-                            warm_start=True, warm_source=None,
-                            progress=None):
+                            warm_start=True, warm_source=None):
             if spec.cache_key() in built:
                 return _fake_report(False)
             built.add(spec.cache_key())
@@ -336,7 +335,7 @@ class TestExecutor:
         order = []
 
         def fake_ensure(spec, store, rebuild=False, warm_start=True,
-                        warm_source=None, progress=None):
+                        warm_source=None):
             order.append(spec.cache_key())
             return _fake_report(True, num_solves=1)
 
@@ -364,7 +363,7 @@ class TestExecutor:
         seen = []
 
         def fake_ensure(spec, store, rebuild=False, warm_start=True,
-                        warm_source=None, progress=None):
+                        warm_source=None):
             seen.append(spec)
             return _fake_report(True, num_solves=1)
 

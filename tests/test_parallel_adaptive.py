@@ -272,6 +272,26 @@ class TestWarmStartedRefinement:
                                                    frontier_error=0.0))
 
 
+def _sscm_runner(problem, **kwargs):
+    from repro.analysis import run_sscm_analysis
+
+    return run_sscm_analysis(problem, energy=1.0,
+                             max_variables_by_group={"doping": 2},
+                             **kwargs)
+
+
+def _mc_runner(problem, **kwargs):
+    from repro.analysis import run_mc_analysis
+
+    return run_mc_analysis(problem, num_runs=4, **kwargs)
+
+
+#: Both problem-level runners share one ``workers`` / ``problem_builder``
+#: validation.
+RUNNERS = [pytest.param(_sscm_runner, id="sscm"),
+           pytest.param(_mc_runner, id="mc")]
+
+
 class TestParallelWaveEvaluator:
     def test_workers_require_problem_builder(self):
         from repro.analysis import run_sscm_analysis
@@ -289,21 +309,16 @@ class TestParallelWaveEvaluator:
         with pytest.raises(StochasticError):
             ParallelWaveEvaluator(_builder, object(), num_workers=0)
 
-    def test_fixed_grid_workers_require_problem_builder(self):
-        from repro.analysis import run_sscm_analysis
+    @pytest.mark.parametrize("runner", RUNNERS)
+    def test_workers_need_problem_builder(self, runner):
+        with pytest.raises(StochasticError, match="problem_builder"):
+            runner(_builder(), workers=2)
 
-        with pytest.raises(StochasticError):
-            run_sscm_analysis(_builder(), energy=1.0,
-                              max_variables_by_group={"doping": 2},
-                              workers=2)
-
-    def test_fixed_grid_workers_validated(self):
-        from repro.analysis import run_sscm_analysis
-
+    @pytest.mark.parametrize("runner", RUNNERS)
+    def test_workers_validated(self, runner):
         for bad in (0, -1, True, 1.5):
-            with pytest.raises(StochasticError):
-                run_sscm_analysis(_builder(), workers=bad,
-                                  problem_builder=_builder)
+            with pytest.raises(StochasticError, match="workers"):
+                runner(_builder(), workers=bad, problem_builder=_builder)
 
     def test_parallel_fixed_grid_bitwise_equals_serial(self):
         """ROADMAP item: the level-2 grid is one big wave for the
@@ -661,7 +676,7 @@ class TestFindWarmStart:
         target = self._spec(adaptive={"tol": 1e-3}, margin_um=2.6)
         seen = {}
 
-        def fake_build(spec, progress=None, store=None,
+        def fake_build(spec, store=None,
                        warm_start=True, warm_source=None):
             seen["warm_start"] = warm_start
             return _tiny_record(spec)

@@ -442,6 +442,18 @@ class TestQueryEngine:
             engine.answer({"kind": "quantiles", "q": [0.5],
                            "num_samples": "many"})
 
+    @pytest.mark.parametrize("bad", [2.7, True, 1, 0])
+    @pytest.mark.parametrize("query", [
+        {"kind": "quantiles", "q": [0.5]},
+        {"kind": "yield_above", "limit": 0.0},
+        {"kind": "yield_below", "limit": 0.0},
+        {"kind": "sample_statistics"}], ids=lambda query: query["kind"])
+    def test_one_num_samples_rule(self, engine, query, bad):
+        """Every distributional kind rejects the same sample counts:
+        no silent truncation, no bool, nothing under 2."""
+        with pytest.raises(ServingError, match="num_samples"):
+            engine.answer({**query, "num_samples": bad})
+
     def test_bad_queries_rejected(self, engine):
         with pytest.raises(ServingError):
             engine.answer({"kind": "teleport"})
@@ -500,32 +512,31 @@ class TestServeBatch:
 
 class TestMonteCarloPreallocation:
     def test_statistics_unchanged(self):
-        def sample_fn(rng):
-            return rng.standard_normal(3) + [1.0, 2.0, 3.0]
+        def solve_fn(z):
+            return z + [1.0, 2.0, 3.0]
 
-        result = run_monte_carlo(sample_fn, 500, seed=4)
+        result = run_monte_carlo(solve_fn, 3, 500, seed=4)
         np.testing.assert_allclose(result.mean, [1.0, 2.0, 3.0],
                                    atol=0.2)
         assert result.samples is None
 
     def test_keep_samples_matrix(self):
-        result = run_monte_carlo(lambda rng: rng.standard_normal(2),
-                                 50, seed=1, keep_samples=True)
+        result = run_monte_carlo(lambda z: z, 2, 50, seed=1,
+                                 keep_samples=True)
         assert result.samples.shape == (50, 2)
         assert result.samples.flags.owndata
 
     def test_row_vector_samples_still_accepted(self):
         """(1, k) row vectors worked with the old vstack path."""
-        result = run_monte_carlo(
-            lambda rng: rng.standard_normal((1, 3)), 20, seed=3,
-            keep_samples=True)
+        result = run_monte_carlo(lambda z: z.reshape(1, 3), 3, 20,
+                                 seed=3, keep_samples=True)
         assert result.samples.shape == (20, 3)
 
     def test_inconsistent_width_rejected(self):
         widths = iter([2, 3])
 
-        def sample_fn(rng):
+        def solve_fn(z):
             return np.zeros(next(widths))
 
         with pytest.raises(StochasticError, match="shape"):
-            run_monte_carlo(sample_fn, 2, seed=0)
+            run_monte_carlo(solve_fn, 1, 2, seed=0)

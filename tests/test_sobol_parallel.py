@@ -145,37 +145,29 @@ class TestParallelDrivers:
         from functools import partial
 
         from repro.analysis import run_mc_analysis
-        from repro.analysis.parallel import run_mc_parallel
 
         mean, std = _reference_mc(_builder(variant), num_runs=6, seed=3)
-        serial = run_mc_analysis(_builder(variant), num_runs=6, seed=3)
-        assert np.array_equal(serial.mean, mean)
-        assert np.array_equal(serial.std, std)
-        for workers in (1, 2, 3):
-            parallel = run_mc_parallel(partial(_builder, variant),
-                                       num_runs=6, seed=3,
-                                       num_workers=workers)
-            assert parallel.num_runs == 6
-            assert np.array_equal(parallel.mean, mean), workers
-            assert np.array_equal(parallel.std, std), workers
+        for workers in (None, 1, 2, 3):
+            # A fresh problem per run: no solver cache carries over.
+            result = run_mc_analysis(
+                _builder(variant), num_runs=6, seed=3, workers=workers,
+                problem_builder=partial(_builder, variant))
+            assert result.num_runs == 6
+            assert np.array_equal(result.mean, mean), workers
+            assert np.array_equal(result.std, std), workers
 
     def test_parallel_mc_matches_serial_statistics(self):
         from repro.analysis import run_mc_analysis
-        from repro.analysis.parallel import run_mc_parallel
 
         problem = _builder()
-        serial = run_mc_analysis(problem, num_runs=24, seed=3)
-        parallel = run_mc_parallel(_builder, num_runs=24, seed=3,
-                                   num_workers=2,
-                                   output_names=["J"])
+        serial = run_mc_analysis(problem, num_runs=24, seed=3,
+                                 keep_samples=True)
+        parallel = run_mc_analysis(problem, num_runs=24, seed=3,
+                                   keep_samples=True, workers=2,
+                                   problem_builder=_builder)
         assert parallel.num_runs == 24
-        # One sample stream, row k is run k: identical statistics.
+        # One sample stream, row k is run k: identical rows.
+        assert np.array_equal(parallel.samples, serial.samples)
         assert np.array_equal(parallel.mean, serial.mean)
         assert np.array_equal(parallel.std, serial.std)
-        assert parallel.output_names == ["J"]
-
-    def test_parallel_mc_validation(self):
-        from repro.analysis.parallel import run_mc_parallel
-
-        with pytest.raises(StochasticError):
-            run_mc_parallel(_builder, num_runs=1)
+        assert parallel.output_names == problem.qoi_names

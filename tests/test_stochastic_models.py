@@ -242,43 +242,36 @@ class TestReducedSpace:
 
 class TestMonteCarlo:
     def test_gaussian_statistics(self):
-        def sample(rng):
-            return np.array([3.0 + 2.0 * rng.standard_normal()])
+        def solve(z):
+            return np.array([3.0 + 2.0 * z[0]])
 
-        res = run_monte_carlo(sample, num_runs=4000, seed=1)
+        res = run_monte_carlo(solve, 1, num_runs=4000, seed=1)
         assert res.mean[0] == pytest.approx(3.0, abs=0.15)
         assert res.std[0] == pytest.approx(2.0, rel=0.08)
         assert res.standard_error()[0] == pytest.approx(
             2.0 / np.sqrt(4000), rel=0.1)
 
     def test_seed_reproducibility(self):
-        def sample(rng):
-            return np.array([rng.standard_normal()])
+        def solve(z):
+            return np.array([z[0]])
 
-        a = run_monte_carlo(sample, 50, seed=9)
-        b = run_monte_carlo(sample, 50, seed=9)
+        a = run_monte_carlo(solve, 1, 50, seed=9)
+        b = run_monte_carlo(solve, 1, 50, seed=9)
         assert a.mean[0] == b.mean[0]
 
     def test_keep_samples(self):
-        def sample(rng):
-            return np.array([rng.standard_normal(), 1.0])
+        def solve(z):
+            return np.array([z[0], 1.0])
 
-        res = run_monte_carlo(sample, 25, seed=0, keep_samples=True)
+        res = run_monte_carlo(solve, 1, 25, seed=0, keep_samples=True)
         assert res.samples.shape == (25, 2)
 
     def test_validation(self):
         with pytest.raises(StochasticError):
-            run_monte_carlo(lambda rng: np.zeros(1), num_runs=1)
+            run_monte_carlo(lambda z: np.zeros(1), 1, num_runs=1)
 
 
 class TestSSCMDriver:
-    def test_progress_callback(self):
-        calls = []
-        run_sscm(lambda z: np.array([z @ z]), 2,
-                 progress=lambda k, n: calls.append((k, n)))
-        assert calls[-1][0] == calls[-1][1] == smolyak_sparse_grid(
-            2).num_points
-
     def test_grid_dim_mismatch(self):
         with pytest.raises(StochasticError):
             run_sscm(lambda z: np.zeros(1), 3,
